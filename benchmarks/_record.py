@@ -9,7 +9,8 @@ numbers.  Since schema 2 the file is an object::
      "rows": [
        {"bench": "weather4_batch_query", "mode": "fast",
         "wall_s": 0.0123, "cell_accesses": 45678,
-        "commit": "ab12cd3", "timestamp": "2026-08-08T12:00:00Z",
+        "commit": "ab12cd3", "dirty": false,
+        "timestamp": "2026-08-08T12:00:00Z",
         "runs": [ ...previous results, oldest first... ]},
        ...]}
 
@@ -18,7 +19,11 @@ replaces the current row and pushes the superseded result onto that
 row's ``runs`` history, so the trajectory is still fully preserved but
 "the latest number for mode X" is always ``rows``' single entry rather
 than whichever duplicate happened to be appended last.  Each result
-carries the commit and UTC timestamp it was measured at.
+carries the commit and UTC timestamp it was measured at, and ``dirty``:
+whether the work tree differed from that commit (``git status
+--porcelain``, ignoring the ``BENCH_*.json`` trails themselves), so a
+row measured on uncommitted changes is not mistaken for one of
+``commit``.
 
 Legacy flat-array files (schema 1) are migrated transparently on the
 first write; a corrupt or missing file is replaced rather than crashing
@@ -71,6 +76,24 @@ def _commit() -> str:
     except OSError:
         return "unknown"
     return out.stdout.strip() or "unknown"
+
+
+def _dirty() -> bool | None:
+    """Whether the work tree has changes besides the trail files."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except OSError:
+        return None
+    if out.returncode != 0:
+        return None
+    changed = [line[3:] for line in out.stdout.splitlines() if line.strip()]
+    return any(not Path(path).name.startswith("BENCH_") for path in changed)
 
 
 def _timestamp() -> str:
@@ -131,6 +154,7 @@ def record(
         "wall_s": round(float(wall_s), 6),
         "cell_accesses": int(cell_accesses),
         "commit": _commit(),
+        "dirty": _dirty(),
         "timestamp": _timestamp(),
     }
     row.update(extra)

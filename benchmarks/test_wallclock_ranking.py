@@ -152,8 +152,8 @@ def test_approx_vs_exact_cold_tier(tmp_path):
     assert tiered.demote_before(horizon) >= 24
     boxes = _cold_tier_boxes(tiered, NUM_APPROX_QUERIES)
 
-    # the exact path decodes historic tiles: drop the decode cache
-    # before every timed run so the measurement stays cold-tier
+    # the exact path reads historic tiles: drop the tile cache before
+    # every timed run so the measurement stays cold-tier
     exact, exact_wall = tiered.query_many(boxes), float("inf")
     for _ in range(REPEATS):
         tiered.tiles.drop_cache()

@@ -41,8 +41,8 @@ byte-identical tiles, which is what lets the durable layer replay a
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -54,36 +54,42 @@ from repro.retention.tiles import TileStore
 _NONE = np.iinfo(np.int64).min
 
 
+def _corner_gather(shape, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cells and signed weights of the ``2^d`` PS corner gather.
+
+    ``lower``/``upper`` are ``(n, d)`` cell-dimension box corners; the
+    per-axis terms ``{upper: +1, lower-1: -1 if lower > 0}`` are clamped
+    to ``shape``.  A skipped corner or an empty box gets weight 0.
+    """
+    dims = np.asarray(shape, dtype=np.int64)
+    d = dims.shape[0]
+    bits = (np.arange(1 << d) >> np.arange(d)[:, None]) & 1  # (d, 2^d)
+    strides = np.asarray([dims[a + 1 :].prod() for a in range(d)], dtype=np.int64)
+    hi = np.minimum(np.asarray(upper, dtype=np.int64).reshape(len(upper), d), dims - 1)
+    lo = np.maximum(np.asarray(lower, dtype=np.int64).reshape(len(lower), d), 0) - 1
+    cells = (hi @ strides)[:, None] + ((lo - hi) * strides) @ bits
+    dead = ((lo < 0) @ bits > 0) | (hi <= lo).any(axis=1)[:, None]
+    sign = 1 - 2 * (bits.sum(axis=0) & 1)
+    return np.where(dead, 0, cells), np.where(dead, 0, sign)
+
+
+@functools.lru_cache(maxsize=256)
+def _box_corners(shape, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    cells, weights = _corner_gather(shape, (lower,), (upper,))
+    cells.flags.writeable = weights.flags.writeable = False  # shared by callers
+    return cells[0], weights[0]
+
+
 def ps_box_sum(ps: np.ndarray, lower: Sequence[int], upper: Sequence[int]) -> int:
     """Inclusion-exclusion range sum over one cumulative PS slice.
 
-    The per-axis term set of the PS technique is ``{upper: +1,
-    lower-1: -1 if lower > 0}``; the product over axes is the standard
-    ``2^d`` corner gather.  Bounds are clamped to the slice domain.
+    One box of :func:`_corner_gather`, memoized per box: callers such as
+    ``estimate_prefix`` sum one box over several slices.
     """
-    d = ps.ndim
-    hi = [min(int(u), ps.shape[axis] - 1) for axis, u in enumerate(upper)]
-    lo = [max(int(bound), 0) - 1 for bound in lower]
-    if any(h < x + 1 for h, x in zip(hi, lo)):
-        return 0
-    total = 0
-    for mask in range(1 << d):
-        index = []
-        sign = 1
-        skip = False
-        for axis in range(d):
-            if (mask >> axis) & 1:
-                if lo[axis] < 0:
-                    skip = True
-                    break
-                index.append(lo[axis])
-                sign = -sign
-            else:
-                index.append(hi[axis])
-        if skip:
-            continue
-        total += sign * int(ps[tuple(index)])
-    return total
+    cells, weights = _box_corners(
+        ps.shape, tuple(int(c) for c in lower), tuple(int(c) for c in upper)
+    )
+    return int(ps.reshape(-1)[cells] @ weights)
 
 
 class TieredCube:
@@ -251,34 +257,32 @@ class TieredCube:
     def query(self, box: Box) -> int:
         return self.query_many([box], mode="metered")[0]
 
-    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
-        """Batch range aggregates, bit-identical to an undemoted oracle.
+    def _decompose(self, boxes: list[Box], mode: str):
+        """A batch's live answers and its demoted cumulative prefixes.
 
-        Boxes both of whose prefixes resolve at or above the demotion
-        watermark pass straight through to the front in one batch;
-        the rest decompose into signed cumulative prefixes answered
-        per-tier as described in the module docstring.
+        Returns ``(live, demoted)``: ``live`` holds ``(box index, signed
+        value)`` pairs answered by the front in one batch; ``demoted``
+        holds ``(box index, sign, floor time, prefix box)`` tuples.
         """
-        boxes = list(boxes)
         kernel = self.cube
         retired_below = kernel._retired_below
         if retired_below == 0 or not kernel.directory:
-            return self.front.query_many(boxes, mode=mode)
+            return list(enumerate(self.front.query_many(boxes, mode=mode))), []
         directory = kernel.directory
         occurring = directory.times()
         low = int(occurring[0])
         buffer = self.buffer
         if buffer is not None and len(buffer):
             low = min(low, int(buffer._points[: buffer._size, 0].min()))
-        results = [0] * len(boxes)
         live_boxes: list[Box] = []
         live_slots: list[tuple[int, int]] = []  # (box index, sign)
+        demoted: list[tuple[int, int, int, Box]] = []
         for i, box in enumerate(boxes):
             prefixes = ((int(box.upper[0]), 1), (int(box.lower[0]) - 1, -1))
             floors = [directory.floor_index(p) for p, _ in prefixes]
             if all(f < 0 or f >= retired_below for f in floors):
                 live_boxes.append(box)
-                live_slots.append((i, 0))  # sign 0: whole-box passthrough
+                live_slots.append((i, 1))  # whole-box passthrough
                 continue
             for (prefix, sign), floor in zip(prefixes, floors):
                 if floor < 0:
@@ -290,22 +294,84 @@ class TieredCube:
                 if floor >= retired_below:
                     live_boxes.append(prefix_box)
                     live_slots.append((i, sign))
-                    continue
-                ps = self._demoted_slice(int(occurring[floor]))
-                results[i] += sign * ps_box_sum(
-                    ps, box.lower[1:], box.upper[1:]
-                )
-                if buffer is not None and len(buffer):
-                    results[i] += sign * int(
-                        buffer.range_sum(
-                            prefix_box,
-                            mode="fast" if mode == "fast" else "metered",
-                        )
-                    )
-        if live_boxes:
-            values = self.front.query_many(live_boxes, mode=mode)
-            for (i, sign), value in zip(live_slots, values):
-                results[i] += (sign if sign else 1) * int(value)
+                else:
+                    demoted.append((i, sign, int(occurring[floor]), prefix_box))
+        values = self.front.query_many(live_boxes, mode=mode) if live_boxes else []
+        live = [(i, sign * int(v)) for (i, sign), v in zip(live_slots, values)]
+        return live, demoted
+
+    def _buffered_sums(self, demoted, mode: str) -> list[int]:
+        """The ``G_d`` contribution over every demoted prefix box."""
+        buffer = self.buffer
+        if buffer is None or not len(buffer) or not demoted:
+            return [0] * len(demoted)
+        return buffer.range_sum_many(
+            [prefix_box for _, _, _, prefix_box in demoted],
+            mode="fast" if mode == "fast" else "metered",
+        )
+
+    def _prefix_corners(self, demoted) -> tuple[np.ndarray, np.ndarray]:
+        """One :func:`_corner_gather` over every demoted prefix box."""
+        boxes = [prefix_box for _, _, _, prefix_box in demoted]
+        lower, upper = [b.lower[1:] for b in boxes], [b.upper[1:] for b in boxes]
+        return _corner_gather(self.cube.slice_shape, lower, upper)
+
+    def _rollup_slice(self, floor_time: int) -> np.ndarray | None:
+        """A rollup tier's retained PS slice at ``floor_time`` (finest wins)."""
+        for tier in self.tiers:
+            ps = tier.slice_at(floor_time)
+            if ps is not None:
+                return ps
+        return None
+
+    def _demoted_sums(self, demoted) -> np.ndarray:
+        """Exact box sums over the demoted prefixes' PS slices.
+
+        Rollup-resident slices answer in memory; the rest are grouped by
+        tile, each tile decompressed at most once and gathered once.  An
+        instance in neither was retired without demotion and is gone.
+        """
+        sums = np.zeros(len(demoted), dtype=np.int64)
+        cells, weights = self._prefix_corners(demoted)
+        pending: list[int] = []
+        for j, (_, _, floor_time, _) in enumerate(demoted):
+            ps = self._rollup_slice(floor_time)
+            if ps is None:
+                pending.append(j)
+            else:
+                sums[j] = ps.reshape(-1)[cells[j]] @ weights[j]
+        times = np.asarray([demoted[j][2] for j in pending], dtype=np.int64)
+        tile = self.tiles.locate(times)
+        if (tile < 0).any():
+            raise AgedOutError(
+                f"instance at t={int(times[tile < 0][0])} was retired without "
+                "demotion; its detail is no longer accessible"
+            )
+        names = self.tiles.tile_names()
+        for index in np.unique(tile):
+            group = np.flatnonzero(tile == index)
+            rows = np.asarray(pending)[group]
+            values = self.tiles.gather_prefix(names[index], times[group], cells[rows])
+            sums[rows] = (values * weights[rows]).sum(axis=1)
+        return sums
+
+    def query_many(self, boxes: Sequence[Box], mode: str = "fast") -> list[int]:
+        """Batch range aggregates, bit-identical to an undemoted oracle.
+
+        Boxes both of whose prefixes resolve at or above the demotion
+        watermark pass straight through to the front in one batch;
+        the rest decompose into signed cumulative prefixes answered
+        per-tier as described in the module docstring.
+        """
+        boxes = list(boxes)
+        live, demoted = self._decompose(boxes, mode)
+        results = [0] * len(boxes)
+        for i, value in live:
+            results[i] += value
+        for (i, sign, _, _), value, buffered in zip(
+            demoted, self._demoted_sums(demoted), self._buffered_sums(demoted, mode)
+        ):
+            results[i] += sign * (int(value) + int(buffered))
         return results
 
     def query_approx(self, box: Box):
@@ -318,7 +384,7 @@ class TieredCube:
         Same prefix decomposition as :meth:`query_many`, but a demoted
         prefix whose PS slice is *not* resident in a rollup tier is
         bracketed between the tiers' retained boundary slices
-        (:mod:`repro.retention.estimate`) instead of decoded from its
+        (:mod:`repro.retention.estimate`) instead of read from its
         tile -- no disk access, at the price of a bounded interval
         rather than a point answer.  Prefixes that are live, or that
         floor onto a retained rollup boundary, stay exact (``lo ==
@@ -328,30 +394,11 @@ class TieredCube:
         contains the exact answer (for non-negative measures -- see the
         estimate module docstring).
         """
-        from repro.retention.estimate import (
-            Estimate,
-            bracket_prefix,
-            estimate_prefix,
-        )
+        from repro.retention.estimate import Estimate, bracket_prefix, estimate_prefix
 
         boxes = list(boxes)
-        kernel = self.cube
-        retired_below = kernel._retired_below
-        if retired_below == 0 or not kernel.directory:
-            return [
-                Estimate.of(v) for v in self.front.query_many(boxes, mode=mode)
-            ]
-        directory = kernel.directory
-        occurring = directory.times()
-        low = int(occurring[0])
-        buffer = self.buffer
-        if buffer is not None and len(buffer):
-            low = min(low, int(buffer._points[: buffer._size, 0].min()))
-        est = [0.0] * len(boxes)
-        lo = [0] * len(boxes)
-        hi = [0] * len(boxes)
-        live_boxes: list[Box] = []
-        live_slots: list[tuple[int, int]] = []
+        live, demoted = self._decompose(boxes, mode)
+        est, lo, hi = [0.0] * len(boxes), [0] * len(boxes), [0] * len(boxes)
 
         def _add(i: int, sign: int, term: Estimate) -> None:
             est[i] += sign * term.estimate
@@ -362,91 +409,42 @@ class TieredCube:
                 lo[i] -= term.hi
                 hi[i] -= term.lo
 
-        for i, box in enumerate(boxes):
-            prefixes = ((int(box.upper[0]), 1), (int(box.lower[0]) - 1, -1))
-            floors = [directory.floor_index(p) for p, _ in prefixes]
-            if all(f < 0 or f >= retired_below for f in floors):
-                live_boxes.append(box)
-                live_slots.append((i, 0))
-                continue
-            for (prefix, sign), floor in zip(prefixes, floors):
-                if floor < 0:
-                    continue
-                prefix_box = Box(
-                    (low,) + tuple(box.lower[1:]),
-                    (prefix,) + tuple(box.upper[1:]),
+        cells, weights = self._prefix_corners(demoted)
+
+        def reduced(j: int, bracket):
+            # a (time, slice) bracket with the slice reduced to prefix j's
+            # box sum: a 0-d cumulative slice, the sum over an empty box
+            if bracket is None:
+                return None
+            return bracket[0], bracket[1].reshape(-1)[cells[j]] @ weights[j]
+
+        for j, ((i, sign, floor_time, _), buffered) in enumerate(
+            zip(demoted, self._buffered_sums(demoted, mode))
+        ):
+            ps = self._rollup_slice(floor_time)
+            if ps is not None:  # tier-resident: exact, no estimation
+                term = Estimate.of(reduced(j, (floor_time, ps))[1])
+            else:
+                bracket_lo, bracket_hi = bracket_prefix(
+                    self.tiers, floor_time, self._last_time, self._last_ps
                 )
-                if floor >= retired_below:
-                    live_boxes.append(prefix_box)
-                    live_slots.append((i, sign))
-                    continue
-                floor_time = int(occurring[floor])
-                ps = None
-                for tier in self.tiers:
-                    ps = tier.slice_at(floor_time)
-                    if ps is not None:
-                        break
-                if ps is not None:  # tier-resident: exact, no estimation
-                    term = Estimate.of(
-                        ps_box_sum(ps, box.lower[1:], box.upper[1:])
+                exact_floor = bracket_lo is not None and bracket_lo[0] == floor_time
+                if bracket_hi is None and not exact_floor:
+                    raise AgedOutError(
+                        f"no retained rollup boundary brackets "
+                        f"t={floor_time}; the prefix cannot be bounded"
                     )
-                else:
-                    bracket_lo, bracket_hi = bracket_prefix(
-                        self.tiers, floor_time, self._last_time, self._last_ps
-                    )
-                    exact_floor = (
-                        bracket_lo is not None and bracket_lo[0] == floor_time
-                    )
-                    if bracket_hi is None and not exact_floor:
-                        raise AgedOutError(
-                            f"no retained rollup boundary brackets "
-                            f"t={floor_time}; the prefix cannot be bounded"
-                        )
-                    term = estimate_prefix(
-                        bracket_lo,
-                        bracket_hi,
-                        floor_time,
-                        box.lower[1:],
-                        box.upper[1:],
-                    )
-                _add(i, sign, term)
-                if buffer is not None and len(buffer):
-                    # buffered corrections below the watermark are known
-                    # exactly; they shift the whole interval
-                    _add(
-                        i,
-                        sign,
-                        Estimate.of(
-                            buffer.range_sum(
-                                prefix_box,
-                                mode="fast" if mode == "fast" else "metered",
-                            )
-                        ),
-                    )
-        if live_boxes:
-            values = self.front.query_many(live_boxes, mode=mode)
-            for (i, sign), value in zip(live_slots, values):
-                _add(i, sign if sign else 1, Estimate.of(value))
+                term = estimate_prefix(
+                    reduced(j, bracket_lo), reduced(j, bracket_hi), floor_time, (), ()
+                )
+            _add(i, sign, term)
+            if buffered:
+                # buffered corrections below the watermark are known
+                # exactly; they shift the whole interval
+                _add(i, sign, Estimate.of(buffered))
+        for i, value in live:
+            _add(i, 1, Estimate.of(value))
         return [Estimate(e, x, y) for e, x, y in zip(est, lo, hi)]
-
-    def _demoted_slice(self, floor_time: int) -> np.ndarray:
-        """The cumulative PS slice at a demoted occurring time.
-
-        Rollup tiers first (finest wins; in-memory, no decode), then the
-        full-fidelity tiles; an instance covered by neither was retired
-        without demotion and is genuinely gone.
-        """
-        for tier in self.tiers:
-            ps = tier.slice_at(floor_time)
-            if ps is not None:
-                return ps
-        ps = self.tiles.slice_at(floor_time)
-        if ps is not None:
-            return ps
-        raise AgedOutError(
-            f"instance at t={floor_time} was retired without demotion; "
-            "its detail is no longer accessible"
-        )
 
     def total(self) -> int:
         return self.front.total()

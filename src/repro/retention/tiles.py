@@ -33,8 +33,12 @@ magic/version, or trailing garbage all raise
 :class:`TileStore` owns a directory of tiles, writes them atomically
 (tmp + fsync + rename, like the checkpoint archive writer) and serves
 reads off a read-only :mod:`mmap` of the file (like
-:mod:`repro.storage.mmap_npz`), decoding lazily and caching the most
-recently used stacks.
+:mod:`repro.storage.mmap_npz`).  It caches the most recently used tiles
+as verified, decompressed but still width-packed delta arrays (1-8
+bytes per value), and decodes on demand only what a read asks for:
+:meth:`TileStore.gather_prefix` zigzag-decodes and sums along time just
+the requested cell columns, so a ``2^d`` corner gather never pays for a
+whole decoded stack.
 """
 
 from __future__ import annotations
@@ -136,6 +140,7 @@ def _pack_width(zz: np.ndarray) -> tuple[int, bytes]:
 
 
 def _unpack_width(width: int, raw: bytes, count: int) -> np.ndarray:
+    """The width-packed zigzag values as a read-only view of ``raw``."""
     dtype = _WIDTH_DTYPES.get(width)
     if dtype is None:
         raise StorageError(f"corrupt tile: invalid value width {width}")
@@ -143,7 +148,7 @@ def _unpack_width(width: int, raw: bytes, count: int) -> np.ndarray:
         raise StorageError(
             f"corrupt tile: packed length {len(raw)} != {count}x{width}"
         )
-    return np.frombuffer(raw, dtype=dtype).astype(np.uint64)
+    return np.frombuffer(raw, dtype=dtype)
 
 
 # -- tile codec ----------------------------------------------------------------
@@ -185,12 +190,14 @@ def encode_tile(
     return bytes(header) + payload + _U32.pack(zlib.crc32(payload))
 
 
-def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_tile`; returns ``(stack, times)``.
+def _parse_tile(data) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Verify and decompress one tile without decoding its values.
 
-    Raises :class:`~repro.core.errors.StorageError` on any torn tail,
-    checksum mismatch, malformed header, or trailing garbage -- a tile
-    either decodes exactly or not at all.
+    Returns ``(packed, times, shape)``: ``packed`` is the ``(k, cells)``
+    width-packed zigzag delta array as a read-only view of the
+    decompressed bytes.  Raises :class:`~repro.core.errors.StorageError`
+    on any torn tail, checksum mismatch, malformed header, or trailing
+    garbage -- a tile either parses exactly or not at all.
     """
     data = bytes(data)
     if len(data) < _FIXED.size:
@@ -233,12 +240,21 @@ def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
         raise StorageError(
             f"corrupt tile: decompressed {len(packed)} bytes, expected {raw_len}"
         )
-    count = int(k)
+    cells = 1
     for n in shape:
-        count *= int(n)
-    deltas = zigzag_decode(_unpack_width(width, packed, count)).reshape(
-        (k, *shape)
-    )
+        cells *= int(n)
+    values = _unpack_width(width, packed, int(k) * cells)
+    return values.reshape(int(k), cells), times, tuple(shape)
+
+
+def decode_tile(data) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_tile`; returns ``(stack, times)``.
+
+    Refuses (:class:`~repro.core.errors.StorageError`) exactly what the
+    tile parser refuses.
+    """
+    packed, times, shape = _parse_tile(data)
+    deltas = zigzag_decode(packed).reshape((times.shape[0], *shape))
     return np.cumsum(deltas, axis=0, dtype=np.int64), times
 
 
@@ -254,8 +270,9 @@ class TileStore:
     """A directory of immutable tiles, indexed by occurring time.
 
     Tiles never overlap: demotion writes strictly newer runs of slices.
-    Reads map the file read-only and decode lazily; the ``cache_tiles``
-    most recently decoded stacks stay resident.
+    Reads map the file read-only and verify both checksums; the
+    ``cache_tiles`` most recently read tiles stay resident as packed
+    ``(k, cells)`` delta arrays plus their slice times.
     """
 
     def __init__(
@@ -268,9 +285,10 @@ class TileStore:
         self._cache_tiles = max(1, int(cache_tiles))
         #: (first_time, last_time, name), ascending and disjoint
         self._index: list[tuple[int, int, str]] = []
-        self._cache: OrderedDict[str, tuple[np.ndarray, np.ndarray]] = (
-            OrderedDict()
-        )
+        #: name -> (packed (k, cells) deltas, times, slice shape)
+        self._cache: OrderedDict[
+            str, tuple[np.ndarray, np.ndarray, tuple[int, ...]]
+        ] = OrderedDict()
         self.rescan()
 
     # -- directory scan -------------------------------------------------------
@@ -292,7 +310,7 @@ class TileStore:
         self._index = index
 
     def drop_cache(self) -> None:
-        """Evict decoded tile stacks; subsequent reads decode cold."""
+        """Evict the cached packed tiles; later reads verify and decompress anew."""
         self._cache.clear()
 
     def tile_names(self) -> list[str]:
@@ -353,7 +371,7 @@ class TileStore:
 
     # -- reading --------------------------------------------------------------
 
-    def _load(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def _load(self, name: str) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         cached = self._cache.get(name)
         if cached is not None:
             self._cache.move_to_end(name)
@@ -365,23 +383,26 @@ class TileStore:
         except (OSError, ValueError) as exc:
             raise StorageError(f"unreadable tile {path}: {exc}") from exc
         try:
-            stack, times = decode_tile(mapped)
+            parsed = _parse_tile(mapped)
         finally:
             mapped.close()
-        self._cache[name] = (stack, times)
+        self._cache[name] = parsed
         while len(self._cache) > self._cache_tiles:
             self._cache.popitem(last=False)
-        return stack, times
+        return parsed
 
-    def covers(self, time: int) -> bool:
-        """Whether some tile's span contains ``time``."""
-        return self._find(int(time)) is not None
+    def locate(self, times) -> np.ndarray:
+        """Index (into :meth:`tile_names`) of the tile spanning each time.
 
-    def _find(self, time: int) -> str | None:
-        for first, last, name in self._index:
-            if first <= time <= last:
-                return name
-        return None
+        ``-1`` where no tile's span contains the time.
+        """
+        times = np.asarray(times, dtype=np.int64)
+        spans = self.spans()
+        if not spans.shape[0]:
+            return np.full(times.shape, -1, dtype=np.int64)
+        tile = np.searchsorted(spans[:, 0], times, side="right") - 1
+        inside = (tile >= 0) & (times <= spans[np.maximum(tile, 0), 1])
+        return np.where(inside, tile, -1)
 
     def slice_at(self, time: int) -> np.ndarray | None:
         """The PS slice at occurring time ``time``, or ``None``.
@@ -390,17 +411,45 @@ class TileStore:
         *floor* occurring time first, so a hit here is always the
         cumulative instance the undemoted kernel would have used.
         """
-        name = self._find(int(time))
-        if name is None:
+        tile = int(self.locate(int(time)))
+        if tile < 0:
             return None
-        stack, times = self._load(name)
+        packed, times, shape = self._load(self._index[tile][2])
         pos = int(np.searchsorted(times, int(time)))
         if pos >= times.shape[0] or int(times[pos]) != int(time):
             return None
-        return stack[pos]
+        deltas = zigzag_decode(packed[: pos + 1])
+        return deltas.sum(axis=0, dtype=np.int64).reshape(shape)
+
+    def gather_prefix(self, name: str, times, flat_cells) -> np.ndarray:
+        """PS values of selected cells at selected times of one tile.
+
+        ``times`` is ``(n,)`` occurring times held by tile ``name``;
+        ``flat_cells`` is ``(n, ...)`` flat (C-order) cell indices.
+        Returns an int64 array shaped like ``flat_cells`` whose entry
+        ``[j, ...]`` is ``slice_at(times[j]).reshape(-1)[flat_cells[j,
+        ...]]``.  Only the distinct requested columns are zigzag-decoded
+        and summed along time; the rest of the tile stays packed.
+        """
+        packed, tile_times, _ = self._load(name)
+        times = np.asarray(times, dtype=np.int64)
+        cells = np.asarray(flat_cells, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(tile_times, times), tile_times.shape[0] - 1)
+        missing = tile_times[pos] != times
+        if missing.any():
+            raise DomainError(
+                f"t={int(times[missing][0])} is not an occurring time of {name}"
+            )
+        if not times.size:
+            return np.zeros(cells.shape, dtype=np.int64)
+        columns, inverse = np.unique(cells.reshape(-1), return_inverse=True)
+        deltas = zigzag_decode(packed[: int(pos.max()) + 1, columns])
+        ps = np.cumsum(deltas, axis=0, dtype=np.int64)
+        rows = pos.reshape(pos.shape + (1,) * (cells.ndim - 1))
+        return ps[rows, inverse.reshape(cells.shape)]
 
     def verify(self) -> int:
-        """Decode every tile (checksum walk); returns the tile count."""
+        """Parse every tile (checksum walk); returns the tile count."""
         for _, _, name in self._index:
             self._load(name)
         return len(self._index)

@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concurrent import SnapshotCube
+from repro.core.errors import StorageError
 from repro.core.types import Box
 from repro.durability import DurableCube
 from repro.ecube.buffered import BufferedEvolvingDataCube
 from repro.ecube.disk import DiskEvolvingDataCube
 from repro.ecube.ecube import EvolvingDataCube
 from repro.ecube.sparse import SparseEvolvingDataCube
-from repro.retention import TieredCube, TierPolicy
+from repro.retention import TieredCube, TierPolicy, decode_tile, ps_box_sum, tiles
+from repro.retention.planner import _corner_gather
 from repro.workloads import weather4
 
 BACKENDS = ("dense", "paged", "sparse")
@@ -336,3 +340,229 @@ class TestShardedDemotion:
             assert recovered.query_many(boxes) == oracle.query_many(boxes)
         finally:
             recovered.close()
+
+
+# -- demoted prefixes across many tiles ----------------------------------------
+
+#: tiers coarse enough that most demoted instants live only in tiles
+FEW_ROLLUPS = [
+    {"name": "hour", "granularity": 8, "horizon": 16},
+    {"name": "day", "granularity": 64, "horizon": None},
+]
+
+
+def _five_tile_cube(directory, backend="dense", buffered=True):
+    """A cube demoted into five tiles, plus its full update stream.
+
+    Buffered fronts also get late corrections aimed below the demotion
+    watermark, left in ``G_d``.
+    """
+    points, deltas = _stream(21, 420, late=0.0)
+    t_max = int(points[:, 0].max())
+    front = (
+        BufferedEvolvingDataCube(SHAPE, backend=backend)
+        if buffered
+        else _bare_cube(backend)
+    )
+    tiered = TieredCube(front, FEW_ROLLUPS, directory)
+    tiered.update_many(points, deltas)
+    for step in range(1, 6):
+        assert tiered.demote_before(t_max * step // 7) >= 1
+    assert len(tiered.tiles) == 5
+    if buffered:
+        rng = np.random.default_rng(4)
+        late = np.column_stack(
+            [rng.integers(0, tiered.demoted_through, size=9)]
+            + [rng.integers(0, n, size=9) for n in SHAPE]
+        ).astype(np.int64)
+        late_deltas = rng.integers(1, 9, size=9).astype(np.int64)
+        for point, delta in zip(late, late_deltas):
+            tiered.update(tuple(int(c) for c in point), int(delta))
+        assert len(tiered.buffer) == 9
+        points = np.concatenate((points, late))
+        deltas = np.concatenate((deltas, late_deltas))
+    return tiered, points, deltas
+
+
+def _prefix_oracle(points, deltas, t_max):
+    """Dense NumPy prefix-sum oracle: box sums by ``2^(d+1)`` corners."""
+    dense = np.zeros((t_max + 1, *SHAPE), dtype=np.int64)
+    np.add.at(dense, tuple(points.T), deltas)
+    prefix = np.zeros(tuple(n + 1 for n in dense.shape), dtype=np.int64)
+    prefix[(slice(1, None),) * dense.ndim] = dense
+    for axis in range(dense.ndim):
+        prefix = np.cumsum(prefix, axis=axis)
+
+    def answer(box):
+        total = 0
+        for mask in range(1 << dense.ndim):
+            corner, sign = [], 1
+            for axis in range(dense.ndim):
+                if (mask >> axis) & 1:
+                    corner.append(int(box.lower[axis]))
+                    sign = -sign
+                else:
+                    corner.append(int(box.upper[axis]) + 1)
+            total += sign * int(prefix[tuple(corner)])
+        return total
+
+    return answer
+
+
+def _tile_only_times(tiered):
+    """Per tile, its occurring times that no rollup tier retains."""
+    retained = {t for tier in tiered.tiers for t in tier.times}
+    return [
+        [
+            int(t)
+            for t in decode_tile((tiered.tiles.directory / name).read_bytes())[1]
+            if int(t) not in retained
+        ]
+        for name in tiered.tiles.tile_names()
+    ]
+
+
+class TestBatchedTileReads:
+    def test_each_tile_decompresses_at_most_once_per_batch(
+        self, tmp_path, monkeypatch
+    ):
+        tiered, points, deltas = _five_tile_cube(tmp_path / "tiles")
+        oracle = _prefix_oracle(points, deltas, int(points[:, 0].max()))
+        per_tile = _tile_only_times(tiered)
+        assert all(per_tile)
+        cells = tuple(n - 1 for n in SHAPE)
+        # cycle through the tiles twice: a two-tile LRU read one prefix
+        # at a time would decompress all ten
+        boxes = [
+            Box((0, 0, 0), (times[k % len(times)],) + cells)
+            for k in range(2)
+            for times in per_tile
+        ]
+        calls = []
+        real = tiles._decompress
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(tiles, "_decompress", counting)
+        tiered.tiles.drop_cache()
+        assert tiered.query_many(boxes) == [oracle(box) for box in boxes]
+        assert len(calls) <= len(per_tile)
+        # one box whose two prefixes floor in different tiles
+        calls.clear()
+        tiered.tiles.drop_cache()
+        box = Box((per_tile[1][0] + 1, 1, 0), (per_tile[3][0],) + cells)
+        assert tiered.query_many([box]) == [oracle(box)]
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("damage", ["payload", "header", "torn"])
+    def test_damaged_tile_refused_not_answered(self, tmp_path, damage):
+        tiered, _, _ = _five_tile_cube(tmp_path / "tiles")
+        per_tile = _tile_only_times(tiered)
+        path = tiered.tiles.directory / tiered.tiles.tile_names()[2]
+        data = bytearray(path.read_bytes())
+        if damage == "payload":
+            data[-10] ^= 0xFF
+        elif damage == "header":
+            data[8] ^= 0xFF  # slice-count field, covered by the header CRC
+        else:
+            data = data[:-7]
+        path.write_bytes(bytes(data))
+        tiered.tiles.drop_cache()
+        box = Box((0, 0, 0), (per_tile[2][0],) + tuple(n - 1 for n in SHAPE))
+        with pytest.raises(StorageError):
+            tiered.query_many([box])
+
+
+CUBES = [(backend, buffered) for backend in BACKENDS for buffered in (False, True)]
+
+
+@pytest.fixture(scope="module", params=CUBES, ids=lambda p: f"{p[0]}-{p[1]}")
+def demoted_cube(request, tmp_path_factory):
+    backend, buffered = request.param
+    directory = tmp_path_factory.mktemp(f"tiles-{backend}-{buffered}")
+    tiered, points, deltas = _five_tile_cube(directory, backend, buffered)
+    t_max = int(points[:, 0].max())
+    watermark = tiered.demoted_through
+    # instants where prefixes floor in tiles, on rollups, on the
+    # watermark and in live slices
+    marked = sorted(
+        {t for tier in tiered.tiers for t in tier.times}
+        | {t for times in _tile_only_times(tiered) for t in times[:3]}
+        | {watermark - 1, watermark, watermark + 1, t_max}
+    )
+    return tiered, _prefix_oracle(points, deltas, t_max), t_max, marked
+
+
+@st.composite
+def _batch(draw, t_max, marked):
+    time = st.one_of(st.sampled_from(marked), st.integers(0, t_max))
+    boxes = []
+    for _ in range(draw(st.integers(1, 12))):
+        t1, t2 = sorted((draw(time), draw(time)))
+        lower = [draw(st.integers(0, n - 1)) for n in SHAPE]
+        upper = [draw(st.integers(lo, n - 1)) for lo, n in zip(lower, SHAPE)]
+        boxes.append(Box((t1, *lower), (t2, *upper)))
+    return boxes
+
+
+class TestHypothesisDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_batches_match_dense_prefix_oracle(self, demoted_cube, data):
+        tiered, oracle, t_max, marked = demoted_cube
+        boxes = data.draw(_batch(t_max, marked))
+        mode = data.draw(st.sampled_from(["fast", "metered"]))
+        assert tiered.query_many(boxes, mode=mode) == [oracle(b) for b in boxes]
+
+
+def _loop_box_sum(ps, lower, upper):
+    """Reference: the ``2^d`` corner loop over Python integers."""
+    hi = [min(int(u), n - 1) for u, n in zip(upper, ps.shape)]
+    lo = [max(int(b), 0) - 1 for b in lower]
+    if any(h < x + 1 for h, x in zip(hi, lo)):
+        return 0
+    total = 0
+    for mask in range(1 << ps.ndim):
+        bits = [(mask >> axis) & 1 for axis in range(ps.ndim)]
+        if any(b and x < 0 for b, x in zip(bits, lo)):
+            continue
+        corner = tuple(x if b else h for b, h, x in zip(bits, hi, lo))
+        total += (-1) ** sum(bits) * int(ps[corner])
+    return total
+
+
+@st.composite
+def _slice_and_boxes(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=3)))
+    size = int(np.prod(shape))
+    ps = np.asarray(
+        draw(st.lists(st.integers(-(2**40), 2**40), min_size=size, max_size=size)),
+        dtype=np.int64,
+    ).reshape(shape)
+    bound = st.integers(-2, 6)
+    boxes = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[bound] * len(shape)), st.tuples(*[bound] * len(shape))
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return ps, boxes
+
+
+class TestCornerGather:
+    @settings(max_examples=80, deadline=None)
+    @given(_slice_and_boxes())
+    def test_matches_the_corner_loop_with_clamps(self, inputs):
+        ps, boxes = inputs
+        expect = [_loop_box_sum(ps, lower, upper) for lower, upper in boxes]
+        assert [ps_box_sum(ps, lower, upper) for lower, upper in boxes] == expect
+        cells, weights = _corner_gather(
+            ps.shape, [lo for lo, _ in boxes], [up for _, up in boxes]
+        )
+        got = (ps.reshape(-1)[cells] * weights).sum(axis=1)
+        assert got.tolist() == expect

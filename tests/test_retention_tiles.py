@@ -9,7 +9,7 @@ the refusal paths are exercised byte by byte.
 
 from __future__ import annotations
 
-import zlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import DomainError, StorageError
 from repro.retention import TileStore, decode_tile, encode_tile, tile_name
+from repro.retention import tiles
 from repro.retention.tiles import zigzag_decode, zigzag_encode
 
 
@@ -175,3 +176,70 @@ class TestTileStore:
             store = TileStore(tmp_path, codec="zstd")
             store.write_tile(stack, times)
             np.testing.assert_array_equal(store.slice_at(10), stack[0])
+
+
+class TestPackedReads:
+    """Reads served from the packed cache must equal a full decode."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(tile_inputs(), st.data())
+    def test_gather_prefix_equals_slice_at_for_every_time(self, inputs, data):
+        stack, times = inputs
+        size = int(np.prod(stack.shape[1:]))
+        cells = np.asarray(
+            data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12)),
+            dtype=np.int64,
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            store = TileStore(directory)
+            name = store.write_tile(stack, times)
+            for i, t in enumerate(times):
+                got = store.gather_prefix(name, [int(t)], cells[None, :])[0]
+                expect = store.slice_at(int(t)).reshape(-1)[cells]
+                np.testing.assert_array_equal(got, expect)
+                np.testing.assert_array_equal(got, stack[i].reshape(-1)[cells])
+            # one call over every time at once answers row by row
+            many = store.gather_prefix(
+                name, times, np.broadcast_to(cells, (times.shape[0], cells.size))
+            )
+            np.testing.assert_array_equal(
+                many, stack.reshape(times.shape[0], -1)[:, cells]
+            )
+
+    def test_gather_prefix_refuses_a_time_the_tile_does_not_hold(self, tmp_path):
+        store = TileStore(tmp_path)
+        stack, times = TestTileStore()._stack()
+        name = store.write_tile(stack, times)
+        with pytest.raises(DomainError):
+            store.gather_prefix(name, [11], [[0]])
+
+    def test_cache_holds_width_packed_deltas(self, tmp_path):
+        store = TileStore(tmp_path)
+        stack, times = TestTileStore()._stack()
+        name = store.write_tile(stack, times)
+        store.slice_at(int(times[0]))
+        packed, cached_times, shape = store._cache[name]
+        assert packed.dtype.itemsize == 1  # small deltas pack to one byte
+        assert packed.shape == (times.shape[0], int(np.prod(stack.shape[1:])))
+        np.testing.assert_array_equal(cached_times, times)
+        assert shape == stack.shape[1:]
+
+    def test_replayed_write_evicts_the_cached_tile(self, tmp_path, monkeypatch):
+        calls = []
+        real = tiles._decompress
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(tiles, "_decompress", counting)
+        store = TileStore(tmp_path)
+        stack, times = TestTileStore()._stack()
+        name = store.write_tile(stack, times)
+        store.slice_at(int(times[0]))
+        store.slice_at(int(times[1]))
+        assert len(calls) == 1 and name in store._cache
+        store.write_tile(stack, times)  # a replayed demotion
+        assert name not in store._cache
+        np.testing.assert_array_equal(store.slice_at(int(times[2])), stack[2])
+        assert len(calls) == 2
