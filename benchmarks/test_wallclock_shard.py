@@ -1,14 +1,17 @@
 """Sharded process-parallel serving vs the single-process snapshot tier.
 
 One batch of ~2000 range queries over the weather4 stream is answered
-four ways: by a single-process :class:`SnapshotCube` (the PR-5 serving
-tier, the ``snapshot-1proc`` baseline) and by a 2-shard
-:class:`ShardedCube` with 2, 4 and 8 reader processes attaching the
-workers' shared-memory epochs.  Every sharded answer vector is asserted
-bit-identical to the baseline -- the differential is part of the
-benchmark, not a separate test -- and rows land in ``BENCH_shard.json``
-with the host's core count, so the trajectory records what hardware the
-numbers mean.
+five ways: by a single-process :class:`SnapshotCube` (the PR-5 serving
+tier, the ``snapshot-1proc`` baseline), by the bare kernel batch path
+(``BufferedEvolvingDataCube.query_many``, the informational
+``kernel-1proc`` row) and by a 2-shard :class:`ShardedCube` with 2, 4
+and 8 reader processes attaching the workers' shared-memory epochs.
+Every answer vector is asserted bit-identical to the baseline -- the
+differential is part of the benchmark, not a separate test -- and rows
+land in ``BENCH_shard.json`` with the host's core count, so the
+trajectory records what hardware the numbers mean.  Each ``procs-N``
+row carries its speedup over both single-process rows; only the
+snapshot one is gated.
 
 The 1.5x floor for ``procs-4`` is enforced here only on hosts with at
 least 4 cores (CI's guard step re-checks the recorded row); on a
@@ -63,6 +66,17 @@ def test_sharded_serving_throughput(workload):
         queries_per_s=int(NUM_QUERIES / max(baseline_wall, 1e-9)),
     )
 
+    kernel = BufferedEvolvingDataCube(dataset.slice_shape)
+    kernel.update_many(dataset.coords, dataset.values)
+    answers, kernel_wall = _timed_query_many(kernel, boxes)
+    assert answers == baseline
+    record(
+        "weather4_sharded_serving", "kernel-1proc", kernel_wall, 0,
+        path=BENCH_SHARD_FILE, dataset=dataset.name, queries=NUM_QUERIES,
+        cores=cores,
+        queries_per_s=int(NUM_QUERIES / max(kernel_wall, 1e-9)),
+    )
+
     for readers in READER_COUNTS:
         cube = ShardedCube(
             dataset.slice_shape,
@@ -87,6 +101,7 @@ def test_sharded_serving_throughput(workload):
             cores=cores, shards=SHARDS,
             queries_per_s=int(NUM_QUERIES / max(wall, 1e-9)),
             speedup_vs_snapshot=round(speedup, 2),
+            speedup_vs_kernel=round(kernel_wall / max(wall, 1e-9), 2),
         )
         if readers == 4 and cores >= 4:
             assert speedup >= FLOOR, (

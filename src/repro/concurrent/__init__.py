@@ -9,24 +9,17 @@ the design notes.
 
 from repro.concurrent.executor import ParallelExecutor
 from repro.concurrent.extent import ExtentSnapshotView, SnapshotExtentCube
-from repro.concurrent.snapshot import Epoch, SnapshotCube, SnapshotView
+from repro.concurrent.snapshot import Epoch, EpochSource, SnapshotCube, SnapshotView
 from repro.concurrent.stress import StressResult, run_stress
-from repro.concurrent.vectorized import (
-    PreparedEpoch,
-    epoch_query_many,
-    prepare_epoch,
-)
 
 __all__ = [
     "Epoch",
+    "EpochSource",
     "ExtentSnapshotView",
     "ParallelExecutor",
     "SnapshotExtentCube",
-    "PreparedEpoch",
     "SnapshotCube",
     "SnapshotView",
     "StressResult",
-    "epoch_query_many",
-    "prepare_epoch",
     "run_stress",
 ]

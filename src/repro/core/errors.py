@@ -55,6 +55,15 @@ class AgedOutError(ReproError):
     time) raise this error.
     """
 
+    @classmethod
+    def instance(cls, time: int) -> "AgedOutError":
+        """The error for a prefix landing on the retired instance at ``time``."""
+        return cls(
+            f"the instance at time {time} was retired by data aging; "
+            "only queries at or after the retirement boundary (or open "
+            "prefixes from the beginning of time) remain answerable"
+        )
+
 
 class ShardUnavailableError(ReproError):
     """A shard worker or reader process died or stopped responding.

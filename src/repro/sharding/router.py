@@ -554,7 +554,8 @@ class ShardRouter:
         """Batch range aggregates, bit-identical to the unsharded cube.
 
         ``mode`` is accepted for API compatibility; sharded serving
-        runs the vectorized epoch path, except that boxes needing
+        runs the readers' epoch path (the kernel's batch evaluator over
+        attached epochs), except that boxes needing
         demoted prefixes go to the workers (tiles and rollup tiers live
         there, not in the shared-memory epochs).
         """

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concurrent import SnapshotCube
+from repro.concurrent import EpochSource, SnapshotCube
 from repro.core.errors import AgedOutError, DomainError, ShardUnavailableError
 from repro.core.types import Box
 from repro.ecube.buffered import BufferedEvolvingDataCube
@@ -170,11 +170,7 @@ class TestSharedMemoryEpochs:
                 boxes = [random_box(rng, shape) for _ in range(30)]
                 with snap.pin() as view:
                     expected = view.query_many(boxes)
-                from repro.concurrent.vectorized import (
-                    epoch_query_many,
-                    prepare_epoch,
-                )
-                answers = epoch_query_many(prepare_epoch(remote), boxes)
+                answers = EpochSource(remote).query_many(boxes)
                 assert np.array_equal(answers, expected)
         finally:
             # drop the epoch's views before closing the mappings they alias
