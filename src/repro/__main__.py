@@ -75,28 +75,14 @@ def _demo() -> int:
     return 0
 
 
-def _recover_cube(directory):
-    from repro.durability import DurableCube, DurableExtentCube
-    from repro.durability.checkpoint import read_manifest
-
-    manifest = read_manifest(directory)
-    if manifest is not None and manifest.config.get("extent"):
-        return DurableExtentCube.recover(directory)
-    return DurableCube.recover(directory)
-
-
 def _cmd_recover(directory: str) -> int:
-    cube = _recover_cube(directory)
+    from repro.durability import recover_durable
+
+    cube = recover_durable(directory)
     try:
         info = dict(cube.recovery_info or {})
-        if hasattr(cube, "cube"):
-            kernel = cube.cube
-            info["occurring_times"] = kernel.num_slices
-            info["updates_applied"] = kernel.updates_applied
-            info["retired_instances"] = kernel.retired_instances
-            info["total"] = cube.total()
-        else:
-            # TT-extent cube: report the extent layer's bookkeeping
+        if cube.kind == "extent":
+            # report the extent layer's bookkeeping
             front = cube.front
             info["extent"] = True
             info["occurring_times"] = len(front.axis)
@@ -104,6 +90,12 @@ def _cmd_recover(directory: str) -> int:
             info["pending_ends"] = front.pending_ends
             info["buffered_updates"] = front.buffered_updates
             info["clock"] = front.clock
+        else:
+            kernel = cube.cube
+            info["occurring_times"] = kernel.num_slices
+            info["updates_applied"] = kernel.updates_applied
+            info["retired_instances"] = kernel.retired_instances
+            info["total"] = cube.total()
         print(json.dumps(info, indent=2))
     finally:
         cube.close()
@@ -111,7 +103,9 @@ def _cmd_recover(directory: str) -> int:
 
 
 def _cmd_checkpoint(directory: str) -> int:
-    cube = _recover_cube(directory)
+    from repro.durability import recover_durable
+
+    cube = recover_durable(directory)
     try:
         manifest = cube.checkpoint()
         print(
@@ -262,7 +256,7 @@ def _cmd_log_info(directory: str) -> int:
     from pathlib import Path
 
     from repro.durability.checkpoint import read_manifest
-    from repro.durability.recovery import TILES_SUBDIR, WAL_SUBDIR
+    from repro.durability.recovery import TILES_SUBDIR, WAL_SUBDIR, durable_class
     from repro.durability.wal import inspect_log
 
     manifest = read_manifest(directory)
@@ -273,7 +267,7 @@ def _cmd_log_info(directory: str) -> int:
         info["checkpoint_file"] = manifest.checkpoint_file
         info["backend"] = manifest.config.get("backend")
         info["buffered"] = manifest.config.get("buffered")
-        if manifest.config.get("extent"):
+        if durable_class(manifest).kind == "extent":
             info["extent"] = True
         if manifest.config.get("tiers") is not None:
             from repro.retention import TileStore

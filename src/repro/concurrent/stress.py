@@ -55,25 +55,13 @@ class StressResult:
 
 
 def _build_target(backend: str, slice_shape, num_times: int, buffered: bool):
-    if buffered:
-        from repro.ecube.buffered import BufferedEvolvingDataCube
+    from repro.ecube.buffered import BufferedEvolvingDataCube, build_kernel
 
+    if buffered:
         return BufferedEvolvingDataCube(
             slice_shape, num_times=num_times, backend=backend
         )
-    if backend == "dense":
-        from repro.ecube.ecube import EvolvingDataCube
-
-        return EvolvingDataCube(slice_shape, num_times=num_times)
-    if backend in ("paged", "disk"):
-        from repro.ecube.disk import DiskEvolvingDataCube
-
-        return DiskEvolvingDataCube(slice_shape, num_times=num_times)
-    if backend == "sparse":
-        from repro.ecube.sparse import SparseEvolvingDataCube
-
-        return SparseEvolvingDataCube(slice_shape, num_times=num_times)
-    raise DomainError(f"unknown storage backend {backend!r}")
+    return build_kernel(slice_shape, backend, num_times=num_times)
 
 
 def _write_script(rng, slice_shape, num_times: int, writes: int, buffered: bool):

@@ -15,13 +15,14 @@ checkpoint:
   the :class:`~repro.ecube.stores.SliceStore` snapshot machinery (all
   three backends), a manifest published by atomic rename, and segment
   compaction once a checkpoint covers them;
-* :mod:`repro.durability.recovery` -- :class:`DurableCube`, the logging
-  front-end that wraps any kernel-backed cube (buffered or not), plus
-  ``DurableCube.recover``: latest checkpoint + tail replay;
-* :mod:`repro.durability.extent` -- :class:`DurableExtentCube`, the same
-  log-before-apply discipline over the multi-family
-  :class:`~repro.ecube.extent.ExtentCube` (interval insert, interval
-  batch and clock-advance records).
+* :mod:`repro.durability.recovery` -- ``DurableFront``, the shared
+  log-before-apply base (manifest, WAL, checkpoints, recovery = latest
+  checkpoint + tail replay), and :class:`DurableCube`, its adapter for
+  any kernel-backed cube (buffered or not); :func:`recover_durable`
+  recovers whichever kind a directory holds;
+* :mod:`repro.durability.extent` -- :class:`DurableExtentCube`, the
+  adapter for the multi-family :class:`~repro.ecube.extent.ExtentCube`
+  (interval insert, interval batch and clock-advance records).
 """
 
 from repro.durability.checkpoint import (
@@ -30,7 +31,7 @@ from repro.durability.checkpoint import (
     write_checkpoint,
 )
 from repro.durability.extent import DurableExtentCube
-from repro.durability.recovery import DurableCube
+from repro.durability.recovery import DurableCube, recover_durable
 from repro.durability.wal import (
     AdvanceRecord,
     CheckpointMarkerRecord,
@@ -61,5 +62,6 @@ __all__ = [
     "UpdateRecord",
     "WriteAheadLog",
     "read_manifest",
+    "recover_durable",
     "write_checkpoint",
 ]

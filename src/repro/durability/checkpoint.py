@@ -118,16 +118,7 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def snapshot_arrays(front) -> dict[str, np.ndarray]:
-    """Complete state of a (possibly buffered) cube as named arrays."""
-    from repro.ecube.extent import ExtentCube
-
-    if isinstance(front, ExtentCube):
-        # the multi-family extent cube snapshots itself: both family
-        # kernels and buffers (namespaced), pending ends, containment
-        # index and clock bookkeeping
-        arrays = front.state_arrays()
-        arrays["format_version"] = np.array([FORMAT_VERSION])
-        return arrays
+    """Complete state of a (possibly buffered or tiered) point cube."""
     cube = getattr(front, "cube", front)  # unwrap TieredCube/Buffered fronts
     arrays = kernel_state_arrays(cube)
     if hasattr(front, "buffer_state_arrays"):
@@ -141,14 +132,17 @@ def snapshot_arrays(front) -> dict[str, np.ndarray]:
 
 def write_checkpoint(
     directory,
-    front,
+    arrays: dict[str, np.ndarray],
     covered_lsn: int,
     checkpoint_id: int,
     config: dict,
     wal=None,
     covered_epoch: int | None = None,
 ) -> CheckpointManifest:
-    """Snapshot ``front``, publish the manifest, and compact the log.
+    """Archive ``arrays``, publish the manifest, and compact the log.
+
+    ``arrays`` is the durable front's complete state (for a point cube,
+    :func:`snapshot_arrays`); archive members keep its key order.
 
     ``wal`` (when given) supplies the live-segment listing and performs
     segment truncation after publication; without it only the archive
@@ -157,7 +151,6 @@ def write_checkpoint(
     directory = Path(directory)
     name = checkpoint_file_name(checkpoint_id)
     temp = directory / (name + ".tmp")
-    arrays = snapshot_arrays(front)
     with open(temp, "wb") as handle:
         # uncompressed (ZIP_STORED) so recovery can mmap the members and
         # serve straight off the file (repro.storage.mmap_npz); legacy

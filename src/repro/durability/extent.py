@@ -5,46 +5,32 @@ through :meth:`~repro.ecube.extent.ExtentCube.insert`,
 :meth:`~repro.ecube.extent.ExtentCube.insert_many` and
 :meth:`~repro.ecube.extent.ExtentCube.advance` -- so its durable state
 is a deterministic function of the mutation sequence alone.  This
-wrapper appends one record *before* applying each mutation
-(log-before-apply, like :class:`~repro.durability.recovery.DurableCube`)
-using three interval-specific record types
-(:class:`~repro.durability.wal.IntervalInsertRecord`,
+adapter plugs the extent cube into the shared durable front
+(:class:`~repro.durability.recovery.DurableFront`: manifest, WAL,
+checkpoints, recovery and the replay loop) with three interval-specific
+record types (:class:`~repro.durability.wal.IntervalInsertRecord`,
 :class:`~repro.durability.wal.IntervalBatchRecord`,
 :class:`~repro.durability.wal.AdvanceRecord`) plus the shared drain and
-retire records; recovery is the latest checkpoint (one archive covering
-both families, their ``G_d`` buffers, the pending-end heap and the
-containment index) plus a tail replay through the same entry points,
-reaching a bit-equivalent cube.
+retire records; a checkpoint is one archive covering both families,
+their ``G_d`` buffers, the pending-end heap and the containment index.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
-from repro.core.errors import RecoveryError, ReproError, StorageError
 from repro.core.types import Box
-from repro.durability.checkpoint import (
-    CheckpointManifest,
-    publish_manifest,
-    read_manifest,
-    write_checkpoint,
-)
-from repro.durability.recovery import WAL_SUBDIR
+from repro.durability.recovery import DurableFront
 from repro.durability.wal import (
     AdvanceRecord,
-    CheckpointMarkerRecord,
-    DrainRecord,
     IntervalBatchRecord,
     IntervalInsertRecord,
-    RetireRecord,
-    WriteAheadLog,
 )
 from repro.ecube.extent import ExtentCube, _as_interval
 from repro.metrics import CostCounter
-from repro.storage.mmap_npz import open_checkpoint
+from repro.storage.serialize import FORMAT_VERSION
 
 
 def build_extent_front(config: dict, counter: CostCounter | None) -> ExtentCube:
@@ -61,13 +47,16 @@ def build_extent_front(config: dict, counter: CostCounter | None) -> ExtentCube:
     )
 
 
-class DurableExtentCube:
+class DurableExtentCube(DurableFront):
     """An :class:`~repro.ecube.extent.ExtentCube` with WAL and checkpoints.
 
     Parameters mirror :class:`~repro.durability.recovery.DurableCube`;
     the manifest config carries ``"extent": true`` so recovery (and the
     CLI) dispatches to this class.
     """
+
+    kind = "extent"
+    _kind_label = "TT-extent"
 
     def __init__(
         self,
@@ -85,14 +74,7 @@ class DurableExtentCube:
         segment_bytes: int = 4 << 20,
         group_commit: int = 256,
     ) -> None:
-        self.directory = Path(directory)
-        if read_manifest(self.directory) is not None:
-            raise StorageError(
-                f"{self.directory} already holds a durable cube; open it "
-                "with DurableExtentCube.recover"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._config = {
+        config = {
             "slice_shape": [int(n) for n in slice_shape],
             "extent": True,
             "backend": backend,
@@ -105,44 +87,21 @@ class DurableExtentCube:
             "segment_bytes": int(segment_bytes),
             "group_commit": int(group_commit),
         }
-        self.front = build_extent_front(self._config, counter)
-        self.wal = WriteAheadLog(
-            self.directory / WAL_SUBDIR,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            group_commit=group_commit,
-        )
-        self._manifest = CheckpointManifest(
-            checkpoint_id=0,
-            covered_lsn=0,
-            checkpoint_file=None,
-            live_segments=self.wal.segments(),
-            config=self._config,
-        )
-        publish_manifest(self.directory, self._manifest)
-        self.recovery_info: dict | None = None
+        self._create(directory, config, counter)
 
-    # -- introspection -----------------------------------------------------------
+    def _build(self, config: dict, counter: CostCounter | None) -> ExtentCube:
+        return build_extent_front(config, counter)
 
-    @property
-    def counter(self) -> CostCounter:
-        return self.front.counter
+    def _snapshot_arrays(self) -> dict[str, np.ndarray]:
+        arrays = self.front.state_arrays()
+        arrays["format_version"] = np.array([FORMAT_VERSION])
+        return arrays
 
-    @property
-    def ndim(self) -> int:
-        return self.front.ndim
+    def _restore(self, archive) -> None:
+        self.front.restore_state(archive)
 
-    @property
-    def last_lsn(self) -> int:
-        """LSN of the most recently appended record (0 = empty log)."""
-        return self.wal.next_lsn - 1
-
-    def log_info(self) -> dict:
-        info = self.wal.log_info()
-        info["checkpoint_id"] = self._manifest.checkpoint_id
-        info["covered_lsn"] = self._manifest.covered_lsn
-        info["checkpoint_file"] = self._manifest.checkpoint_file
-        return info
+    def _epoch_kernels(self) -> tuple:
+        return (self.front.ended.cube, self.front.containing.cube)
 
     # -- logged mutations ---------------------------------------------------------
 
@@ -180,16 +139,6 @@ class DurableExtentCube:
         self.wal.append(AdvanceRecord(time))
         return self.front.advance(time)
 
-    def retire_before(self, time: int) -> int:
-        """Log, then retire detail older than ``time`` in both families."""
-        self.wal.append(RetireRecord(int(time)))
-        return self.front.retire_before(int(time))
-
-    def drain(self, limit: int | None = None) -> tuple[int, int]:
-        """Log, then drain both families' ``G_d`` buffers."""
-        self.wal.append(DrainRecord(limit))
-        return self.front.drain(limit)
-
     # -- pass-through queries -----------------------------------------------------
 
     def intersecting(
@@ -213,155 +162,19 @@ class DurableExtentCube:
     def containment_many(self, queries, cell_boxes=None) -> list[int]:
         return self.front.containment_many(queries, cell_boxes)
 
-    # -- checkpoints --------------------------------------------------------------
-
-    def checkpoint(self) -> CheckpointManifest:
-        """Snapshot both families and the extent layer; compact the log."""
-        checkpoint_id = self._manifest.checkpoint_id + 1
-        covered_lsn = self.wal.append(CheckpointMarkerRecord(checkpoint_id))
-        self.wal.commit()
-        self.wal.roll_segment()
-        pins = []
-        for kernel in (self.front.ended.cube, self.front.containing.cube):
-            sink = getattr(kernel, "_epoch_sink", None)
-            if sink is not None:
-                pins.append(sink.pin())
-        try:
-            self._manifest = write_checkpoint(
-                self.directory,
-                self.front,
-                covered_lsn=covered_lsn,
-                checkpoint_id=checkpoint_id,
-                config=self._config,
-                wal=self.wal,
-            )
-        finally:
-            for pinned in pins:
-                pinned.release()
-        return self._manifest
-
     def serve(self):
         """Attach a snapshot-isolation front for concurrent readers."""
         from repro.concurrent.extent import SnapshotExtentCube
 
         return SnapshotExtentCube(self)
 
-    def flush(self) -> None:
-        """Force the log durable now (mostly useful with ``fsync="batch"``)."""
-        self.wal.commit()
-
-    def close(self) -> None:
-        self.wal.close()
-
-    def __enter__(self) -> "DurableExtentCube":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"DurableExtentCube({str(self.directory)!r}, "
-            f"backend={self._config['backend']!r}, "
-            f"next_lsn={self.wal.next_lsn})"
-        )
-
-    # -- recovery -----------------------------------------------------------------
-
-    @classmethod
-    def recover(
-        cls,
-        directory,
-        counter: CostCounter | None = None,
-        fsync: str | None = None,
-    ) -> "DurableExtentCube":
-        """Rebuild the durable extent cube living in ``directory``."""
-        directory = Path(directory)
-        manifest = read_manifest(directory)
-        if manifest is None:
-            raise RecoveryError(
-                f"{directory} holds no durable cube (missing manifest)"
-            )
-        config = manifest.config
-        if not config.get("extent"):
-            raise RecoveryError(
-                f"{directory} holds a point-object durable cube; open it "
-                "with DurableCube.recover"
-            )
-        self = cls.__new__(cls)
-        self.directory = directory
-        self._config = config
-        self.front = build_extent_front(config, counter)
-        if manifest.checkpoint_file is not None:
-            archive_path = directory / manifest.checkpoint_file
-            if not archive_path.exists():
-                raise RecoveryError(
-                    f"manifest names missing checkpoint {manifest.checkpoint_file}"
-                )
-            with open_checkpoint(archive_path) as archive:
-                self.front.restore_state(archive)
-        self.wal = WriteAheadLog(
-            directory / WAL_SUBDIR,
-            fsync=fsync if fsync is not None else config.get("fsync", "batch"),
-            segment_bytes=int(config.get("segment_bytes", 4 << 20)),
-            group_commit=int(config.get("group_commit", 256)),
-        )
-        self._manifest = manifest
-        replayed = skipped = 0
-        last_lsn = manifest.covered_lsn
-        for lsn, record in self.wal.replay(after_lsn=manifest.covered_lsn):
-            replayed += 1
-            last_lsn = lsn
-            if not self._replay_record(record):
-                skipped += 1
-        self.recovery_info = {
-            "checkpoint_id": manifest.checkpoint_id,
-            "covered_lsn": manifest.covered_lsn,
-            "replayed_records": replayed,
-            "skipped_records": skipped,
-            "last_lsn": last_lsn,
-        }
-        return self
-
-    def _replay_record(self, record) -> bool:
-        """Apply one tail record; ``False`` = skipped (failed originally)."""
-        front = self.front
-        if isinstance(record, IntervalInsertRecord):
-            try:
-                front.insert(
-                    (record.start, record.end), record.cell, record.value
-                )
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, IntervalBatchRecord):
-            try:
-                front.insert_many(
-                    record.intervals,
-                    record.cells,
-                    record.values,
-                    mode=record.mode,
-                )
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, AdvanceRecord):
-            try:
-                front.advance(record.time)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, RetireRecord):
-            try:
-                front.retire_before(record.time)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, DrainRecord):
-            front.drain(record.limit)
-            return True
-        if isinstance(record, CheckpointMarkerRecord):
-            return True
-        raise RecoveryError(
-            f"cannot replay {type(record).__name__} into an extent cube"
-        )
+    _replay_handlers = {
+        **DurableFront._replay_handlers,
+        IntervalInsertRecord: lambda self, r: self.front.insert(
+            (r.start, r.end), r.cell, r.value
+        ),
+        IntervalBatchRecord: lambda self, r: self.front.insert_many(
+            r.intervals, r.cells, r.values, mode=r.mode
+        ),
+        AdvanceRecord: lambda self, r: self.front.advance(r.time),
+    }

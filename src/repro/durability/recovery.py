@@ -1,8 +1,11 @@
-"""``DurableCube``: the logging front-end, and crash recovery.
+"""The durable front (WAL, checkpoints, crash recovery) and ``DurableCube``.
 
-``DurableCube`` wraps any kernel-backed cube -- dense, paged or sparse,
-with or without the ``G_d`` out-of-order buffer -- and appends one WAL
-record *before* applying each mutation (log-before-apply).  Queries pass
+:class:`DurableFront` is the log-before-apply machinery shared by every
+durable object kind: it appends one WAL record *before* applying each
+mutation, takes checkpoints and recovers.  :class:`DurableCube` adapts it
+to any kernel-backed cube -- dense, paged or sparse, with or without the
+``G_d`` out-of-order buffer; :class:`~repro.durability.extent
+.DurableExtentCube` adapts it to TT-extent objects.  Queries pass
 straight through.  Because the wrapped classes are deterministic,
 replaying the surviving log prefix through the same entry points
 reproduces the pre-crash state exactly: same answers, same directory,
@@ -38,6 +41,7 @@ from repro.durability.checkpoint import (
     CheckpointManifest,
     publish_manifest,
     read_manifest,
+    snapshot_arrays,
     write_checkpoint,
 )
 from repro.durability.wal import (
@@ -51,7 +55,7 @@ from repro.durability.wal import (
     UpdateRecord,
     WriteAheadLog,
 )
-from repro.ecube.buffered import BufferedEvolvingDataCube
+from repro.ecube.buffered import BufferedEvolvingDataCube, build_kernel
 from repro.metrics import CostCounter
 from repro.storage.mmap_npz import open_checkpoint
 
@@ -83,36 +87,15 @@ def _build_front(config: dict, counter: CostCounter | None):
             page_size=config.get("page_size"),
             cell_size=config.get("cell_size"),
         )
-    if backend == "dense":
-        from repro.ecube.ecube import EvolvingDataCube
-
-        return EvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            copy_budget=copy_budget,
-        )
-    if backend == "paged":
-        from repro.ecube.disk import DiskEvolvingDataCube
-        from repro.storage.layout import DEFAULT_CELL_SIZE, DEFAULT_PAGE_SIZE
-
-        return DiskEvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            page_size=config.get("page_size") or DEFAULT_PAGE_SIZE,
-            cell_size=config.get("cell_size") or DEFAULT_CELL_SIZE,
-        )
-    if backend == "sparse":
-        from repro.ecube.sparse import SparseEvolvingDataCube
-
-        return SparseEvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            copy_budget=copy_budget,
-        )
-    raise DomainError(f"unknown storage backend {backend!r}")
+    return build_kernel(
+        slice_shape,
+        backend,
+        num_times=num_times,
+        counter=counter,
+        copy_budget=copy_budget,
+        page_size=config.get("page_size"),
+        cell_size=config.get("cell_size"),
+    )
 
 
 #: Public alias -- shard workers build non-durable fronts from the same
@@ -129,7 +112,277 @@ def _tiers_config(tiers) -> list[dict] | None:
     return TierPolicy.from_config(tiers).to_config()
 
 
-class DurableCube:
+def durable_class(manifest: CheckpointManifest) -> type[DurableFront]:
+    """The durable front class that owns a directory with this manifest."""
+    if manifest.config.get("extent"):
+        from repro.durability.extent import DurableExtentCube
+
+        return DurableExtentCube
+    return DurableCube
+
+
+def recover_durable(
+    directory, counter: CostCounter | None = None, fsync: str | None = None
+) -> DurableFront:
+    """Recover whichever durable cube kind lives in ``directory``."""
+    manifest = _required_manifest(Path(directory))
+    return durable_class(manifest).recover(directory, counter=counter, fsync=fsync)
+
+
+def _required_manifest(directory: Path) -> CheckpointManifest:
+    manifest = read_manifest(directory)
+    if manifest is None:
+        raise RecoveryError(f"{directory} holds no durable cube (missing manifest)")
+    return manifest
+
+
+class DurableFront:
+    """Log-before-apply plumbing shared by every durable object kind.
+
+    Owns the manifest, the WAL, checkpoints and recovery; a subclass
+    supplies its configuration, how to build an empty front from it, the
+    logged mutations, how to snapshot and restore its state, and a replay
+    table mapping each WAL record type it logs to a handler.  A handler
+    returns ``False`` when it skips a record; a
+    :class:`~repro.core.errors.ReproError` raised while applying a record
+    also means it failed originally and is skipped.
+    """
+
+    #: object kind stored in a directory ("point" or "extent")
+    kind: str
+    #: how refusal messages name this kind
+    _kind_label: str
+    #: record a single served epoch as the manifest's ``covered_epoch``
+    _records_epoch = False
+    _replay_handlers: dict = {
+        RetireRecord: lambda self, r: self.front.retire_before(r.time),
+        DrainRecord: lambda self, r: self.front.drain(r.limit),
+        CheckpointMarkerRecord: lambda self, r: True,
+    }
+
+    def _build(self, config: dict, counter: CostCounter | None):
+        """Construct the configured (empty) front."""
+        raise NotImplementedError
+
+    def _snapshot_arrays(self) -> dict[str, np.ndarray]:
+        """Complete durable state as named arrays (one checkpoint archive)."""
+        raise NotImplementedError
+
+    def _restore(self, archive) -> None:
+        """Load :meth:`_snapshot_arrays` output into the fresh front."""
+        raise NotImplementedError
+
+    def _epoch_kernels(self) -> tuple:
+        """Kernels whose served epochs a checkpoint pins while it writes."""
+        raise NotImplementedError
+
+    def _create(self, directory, config: dict, counter: CostCounter | None) -> None:
+        """Start a new durable cube in ``directory`` (constructor body)."""
+        self.directory = Path(directory)
+        if read_manifest(self.directory) is not None:
+            raise StorageError(
+                f"{self.directory} already holds a durable cube; open it "
+                f"with {type(self).__name__}.recover"
+            )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self._config = config
+        self.front = self._build(config, counter)
+        self._open_wal(config["fsync"])
+        self._manifest = CheckpointManifest(
+            checkpoint_id=0,
+            covered_lsn=0,
+            checkpoint_file=None,
+            live_segments=self.wal.segments(),
+            config=config,
+        )
+        publish_manifest(self.directory, self._manifest)
+        self.recovery_info: dict | None = None
+
+    def _open_wal(self, fsync: str) -> None:
+        config = self._config
+        self.wal = WriteAheadLog(
+            self.directory / WAL_SUBDIR,
+            fsync=fsync,
+            segment_bytes=int(config.get("segment_bytes", 4 << 20)),
+            group_commit=int(config.get("group_commit", 256)),
+        )
+
+    # -- introspection -----------------------------------------------------------
+
+    @property
+    def counter(self) -> CostCounter:
+        return self.front.counter
+
+    @property
+    def ndim(self) -> int:
+        return self.front.ndim
+
+    @property
+    def last_lsn(self) -> int:
+        """LSN of the most recently appended record (0 = empty log)."""
+        return self.wal.next_lsn - 1
+
+    def log_info(self) -> dict:
+        info = self.wal.log_info()
+        info["checkpoint_id"] = self._manifest.checkpoint_id
+        info["covered_lsn"] = self._manifest.covered_lsn
+        info["checkpoint_file"] = self._manifest.checkpoint_file
+        return info
+
+    # -- logged mutations shared by every kind --------------------------------------
+
+    def retire_before(self, time: int) -> int:
+        """Log, then retire detail slices older than ``time``."""
+        self.wal.append(RetireRecord(int(time)))
+        return self.front.retire_before(int(time))
+
+    def drain(self, limit: int | None = None) -> tuple[int, int]:
+        """Log, then drain the ``G_d`` buffer(s)."""
+        self.wal.append(DrainRecord(limit))
+        return self.front.drain(limit)
+
+    # -- checkpoints --------------------------------------------------------------
+
+    def checkpoint(self) -> CheckpointManifest:
+        """Snapshot current state, publish it, and truncate covered log.
+
+        The checkpoint-marker record pins the log position the snapshot
+        corresponds to; the segment is rolled so everything up to the
+        marker becomes droppable.  When the cube is being served
+        concurrently (a snapshot front is attached), the current epoch of
+        every served kernel is pinned for the duration of the archive
+        write, so the archive persists exactly the state readers of
+        those epochs were answering from and the pins keep their slices
+        from being rewritten underneath the serializer.  A point cube
+        records its epoch's sequence in the manifest as
+        ``covered_epoch``.  Returns the published manifest.
+        """
+        checkpoint_id = self._manifest.checkpoint_id + 1
+        covered_lsn = self.wal.append(CheckpointMarkerRecord(checkpoint_id))
+        self.wal.commit()
+        self.wal.roll_segment()
+        pins = []
+        for kernel in self._epoch_kernels():
+            sink = getattr(kernel, "_epoch_sink", None)
+            if sink is not None:
+                pins.append(sink.pin())
+        try:
+            self._manifest = write_checkpoint(
+                self.directory,
+                self._snapshot_arrays(),
+                covered_lsn=covered_lsn,
+                checkpoint_id=checkpoint_id,
+                config=self._config,
+                wal=self.wal,
+                covered_epoch=(
+                    pins[0].sequence if pins and self._records_epoch else None
+                ),
+            )
+        finally:
+            for pinned in pins:
+                pinned.release()
+        return self._manifest
+
+    def flush(self) -> None:
+        """Force the log durable now (mostly useful with ``fsync="batch"``)."""
+        self.wal.commit()
+
+    def close(self) -> None:
+        self.wal.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({str(self.directory)!r}, "
+            f"backend={self._config['backend']!r}, "
+            f"next_lsn={self.wal.next_lsn})"
+        )
+
+    # -- recovery -----------------------------------------------------------------
+
+    @classmethod
+    def recover(
+        cls,
+        directory,
+        counter: CostCounter | None = None,
+        fsync: str | None = None,
+    ):
+        """Rebuild the durable cube living in ``directory``.
+
+        Latest checkpoint plus tail replay; a torn final log record is
+        truncated, records that failed originally are skipped (see
+        module docstring).  ``fsync`` overrides the logged policy for
+        the reopened log (e.g. recover with ``"always"`` a log written
+        with ``"batch"``).  The result continues logging where the
+        survivor left off; :attr:`recovery_info` reports what happened.
+        """
+        directory = Path(directory)
+        manifest = _required_manifest(directory)
+        owner = durable_class(manifest)
+        if not issubclass(cls, owner):
+            raise RecoveryError(
+                f"{directory} holds a {owner._kind_label} durable cube; open "
+                f"it with {owner.__name__}.recover"
+            )
+        self = cls.__new__(cls)
+        self.directory = directory
+        self._config = config = manifest.config
+        self.front = self._build(config, counter)
+        if manifest.checkpoint_file is not None:
+            archive_path = directory / manifest.checkpoint_file
+            if not archive_path.exists():
+                raise RecoveryError(
+                    f"manifest names missing checkpoint {manifest.checkpoint_file}"
+                )
+            # mmap-backed when the archive is uncompressed: slice arrays
+            # are adopted as read-only views and the recovered cube
+            # serves queries straight off the checkpoint file (stores
+            # promote a slice to heap copies on first write)
+            with open_checkpoint(archive_path) as archive:
+                self._restore(archive)
+        # opening for append repairs a torn tail before replay reads it
+        self._open_wal(fsync if fsync is not None else config.get("fsync", "batch"))
+        self._manifest = manifest
+        replayed = skipped = 0
+        last_lsn = manifest.covered_lsn
+        for lsn, record in self.wal.replay(after_lsn=manifest.covered_lsn):
+            replayed += 1
+            last_lsn = lsn
+            if not self._replay_record(record):
+                skipped += 1
+        self.recovery_info = {
+            "checkpoint_id": manifest.checkpoint_id,
+            "covered_lsn": manifest.covered_lsn,
+            "replayed_records": replayed,
+            "skipped_records": skipped,
+            "last_lsn": last_lsn,
+        }
+        return self
+
+    def _replay_record(self, record) -> bool:
+        """Apply one tail record; ``False`` = skipped (failed originally)."""
+        handler = self._replay_handlers.get(type(record))
+        if handler is None:
+            raise RecoveryError(
+                f"cannot replay {type(record).__name__} into a "
+                f"{self._kind_label} durable cube"
+            )
+        if isinstance(record, DrainRecord):
+            # a drain keeps unappliable corrections buffered itself, so an
+            # error here is damage and surfaces instead of being skipped
+            return handler(self, record) is not False
+        try:
+            return handler(self, record) is not False
+        except ReproError:
+            return False
+
+
+class DurableCube(DurableFront):
     """A kernel-backed cube with write-ahead logging and checkpoints.
 
     Parameters
@@ -155,6 +408,10 @@ class DurableCube:
         the OS).
     """
 
+    kind = "point"
+    _kind_label = "point-object"
+    _records_epoch = True
+
     def __init__(
         self,
         slice_shape: Sequence[int],
@@ -174,14 +431,7 @@ class DurableCube:
         global_order_buffer: bool = False,
         tiers=None,
     ) -> None:
-        self.directory = Path(directory)
-        if read_manifest(self.directory) is not None:
-            raise StorageError(
-                f"{self.directory} already holds a durable cube; open it "
-                "with DurableCube.recover"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._config = {
+        config = {
             "slice_shape": [int(n) for n in slice_shape],
             "backend": backend,
             "buffered": bool(buffered),
@@ -196,31 +446,30 @@ class DurableCube:
             "global_order_buffer": bool(global_order_buffer),
             "tiers": _tiers_config(tiers),
         }
-        self.front = _build_front(self._config, counter)
-        if self._config["tiers"] is not None:
-            from repro.retention import TieredCube
+        self._create(directory, config, counter)
 
-            self.front = TieredCube(
-                self.front,
-                self._config["tiers"],
-                self.directory / TILES_SUBDIR,
-            )
-        self.buffered = bool(buffered)
-        self.wal = WriteAheadLog(
-            self.directory / WAL_SUBDIR,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            group_commit=group_commit,
-        )
-        self._manifest = CheckpointManifest(
-            checkpoint_id=0,
-            covered_lsn=0,
-            checkpoint_file=None,
-            live_segments=self.wal.segments(),
-            config=self._config,
-        )
-        publish_manifest(self.directory, self._manifest)
-        self.recovery_info: dict | None = None
+    def _build(self, config: dict, counter: CostCounter | None):
+        front = _build_front(config, counter)
+        if config.get("tiers") is None:
+            return front
+        from repro.retention import TieredCube
+
+        return TieredCube(front, config["tiers"], self.directory / TILES_SUBDIR)
+
+    def _snapshot_arrays(self) -> dict[str, np.ndarray]:
+        return snapshot_arrays(self.front)
+
+    def _restore(self, archive) -> None:
+        cube = self.cube
+        cube.copy_budget = int(archive["copy_budget"][0])
+        cube.restore_state(archive)
+        if self.buffered:
+            self.front.restore_buffer_state(archive)
+        if "ret_meta" in archive:
+            self.front.restore_retention_state(archive)
+
+    def _epoch_kernels(self) -> tuple:
+        return (self.cube,)
 
     # -- introspection -----------------------------------------------------------
 
@@ -230,24 +479,8 @@ class DurableCube:
         return getattr(self.front, "cube", self.front)
 
     @property
-    def counter(self) -> CostCounter:
-        return self.front.counter
-
-    @property
-    def ndim(self) -> int:
-        return self.front.ndim
-
-    @property
-    def last_lsn(self) -> int:
-        """LSN of the most recently appended record (0 = empty log)."""
-        return self.wal.next_lsn - 1
-
-    def log_info(self) -> dict:
-        info = self.wal.log_info()
-        info["checkpoint_id"] = self._manifest.checkpoint_id
-        info["covered_lsn"] = self._manifest.covered_lsn
-        info["checkpoint_file"] = self._manifest.checkpoint_file
-        return info
+    def buffered(self) -> bool:
+        return bool(self._config.get("buffered", True))
 
     # -- logged mutations ---------------------------------------------------------
 
@@ -301,11 +534,6 @@ class DurableCube:
         self.wal.append(OutOfOrderBatchRecord(points, deltas))
         return self.front.apply_out_of_order_many(points, deltas)
 
-    def retire_before(self, time: int) -> int:
-        """Log, then retire detail slices older than ``time``."""
-        self.wal.append(RetireRecord(int(time)))
-        return self.front.retire_before(int(time))
-
     def demote_before(self, time: int) -> int:
         """Log, then demote detail older than ``time`` into the tiers.
 
@@ -326,8 +554,7 @@ class DurableCube:
         """Log, then drain the ``G_d`` buffer (buffered cubes only)."""
         if not self.buffered:
             raise DomainError("drain() requires a buffered durable cube")
-        self.wal.append(DrainRecord(limit))
-        return self.front.drain(limit)
+        return super().drain(limit)
 
     # -- pass-through queries -----------------------------------------------------
 
@@ -339,43 +566,6 @@ class DurableCube:
 
     def total(self) -> int:
         return self.front.total()
-
-    # -- checkpoints --------------------------------------------------------------
-
-    def checkpoint(self) -> CheckpointManifest:
-        """Snapshot current state, publish it, and truncate covered log.
-
-        The checkpoint-marker record pins the log position the snapshot
-        corresponds to; the segment is rolled so everything up to the
-        marker becomes droppable.  When the cube is being served
-        concurrently (a :class:`~repro.concurrent.snapshot.SnapshotCube`
-        is attached), the current epoch is pinned for the duration of
-        the archive write and its sequence is recorded in the manifest
-        as ``covered_epoch`` -- the archive then persists exactly the
-        state readers of that epoch were answering from, and the pin
-        keeps that epoch's slices from being rewritten underneath the
-        serializer.  Returns the published manifest.
-        """
-        checkpoint_id = self._manifest.checkpoint_id + 1
-        covered_lsn = self.wal.append(CheckpointMarkerRecord(checkpoint_id))
-        self.wal.commit()
-        self.wal.roll_segment()
-        sink = getattr(self.cube, "_epoch_sink", None)
-        pinned = sink.pin() if sink is not None else None
-        try:
-            self._manifest = write_checkpoint(
-                self.directory,
-                self.front,
-                covered_lsn=covered_lsn,
-                checkpoint_id=checkpoint_id,
-                config=self._config,
-                wal=self.wal,
-                covered_epoch=pinned.sequence if pinned is not None else None,
-            )
-        finally:
-            if pinned is not None:
-                pinned.release()
-        return self._manifest
 
     def serve(self):
         """Attach a snapshot-isolation front for concurrent readers.
@@ -390,19 +580,6 @@ class DurableCube:
 
         return SnapshotCube(self)
 
-    def flush(self) -> None:
-        """Force the log durable now (mostly useful with ``fsync="batch"``)."""
-        self.wal.commit()
-
-    def close(self) -> None:
-        self.wal.close()
-
-    def __enter__(self) -> "DurableCube":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
             f"DurableCube({str(self.directory)!r}, "
@@ -410,143 +587,39 @@ class DurableCube:
             f"buffered={self.buffered}, next_lsn={self.wal.next_lsn})"
         )
 
-    # -- recovery -----------------------------------------------------------------
+    # -- replay ---------------------------------------------------------------------
 
-    @classmethod
-    def recover(
-        cls,
-        directory,
-        counter: CostCounter | None = None,
-        fsync: str | None = None,
-    ) -> "DurableCube":
-        """Rebuild the durable cube living in ``directory``.
+    def _replay_demote(self, record) -> bool | None:
+        if self._config.get("tiers") is None:
+            return False
+        return self.front.demote_before(record.time)
 
-        Latest checkpoint plus tail replay; a torn final log record is
-        truncated, records that failed originally are skipped (see
-        module docstring).  ``fsync`` overrides the logged policy for
-        the reopened log (e.g. recover with ``"always"`` a log written
-        with ``"batch"``).  The result continues logging where the
-        survivor left off; :attr:`recovery_info` reports what happened.
-        """
-        directory = Path(directory)
-        manifest = read_manifest(directory)
-        if manifest is None:
-            raise RecoveryError(
-                f"{directory} holds no durable cube (missing manifest)"
-            )
-        config = manifest.config
-        if config.get("extent"):
-            raise RecoveryError(
-                f"{directory} holds a TT-extent durable cube; open it with "
-                "DurableExtentCube.recover"
-            )
-        self = cls.__new__(cls)
-        self.directory = directory
-        self._config = config
-        self.buffered = bool(config.get("buffered", True))
-        self.front = _build_front(config, counter)
-        if config.get("tiers") is not None:
-            from repro.retention import TieredCube
+    def _replay_drain(self, record) -> bool | None:
+        if not self.buffered:
+            return False
+        return self.front.drain(record.limit)
 
-            self.front = TieredCube(
-                self.front, config["tiers"], directory / TILES_SUBDIR
-            )
-        if manifest.checkpoint_file is not None:
-            archive_path = directory / manifest.checkpoint_file
-            if not archive_path.exists():
-                raise RecoveryError(
-                    f"manifest names missing checkpoint {manifest.checkpoint_file}"
-                )
-            # mmap-backed when the archive is uncompressed: slice arrays
-            # are adopted as read-only views and the recovered cube
-            # serves queries straight off the checkpoint file (stores
-            # promote a slice to heap copies on first write)
-            with open_checkpoint(archive_path) as archive:
-                cube = getattr(self.front, "cube", self.front)
-                cube.copy_budget = int(archive["copy_budget"][0])
-                cube.restore_state(archive)
-                if self.buffered:
-                    self.front.restore_buffer_state(archive)
-                if "ret_meta" in archive:
-                    self.front.restore_retention_state(archive)
-        # opening for append repairs a torn tail before replay reads it
-        self.wal = WriteAheadLog(
-            directory / WAL_SUBDIR,
-            fsync=fsync if fsync is not None else config.get("fsync", "batch"),
-            segment_bytes=int(config.get("segment_bytes", 4 << 20)),
-            group_commit=int(config.get("group_commit", 256)),
-        )
-        self._manifest = manifest
-        replayed = skipped = 0
-        last_lsn = manifest.covered_lsn
-        for lsn, record in self.wal.replay(after_lsn=manifest.covered_lsn):
-            replayed += 1
-            last_lsn = lsn
-            if not self._replay_record(record):
-                skipped += 1
-        self.recovery_info = {
-            "checkpoint_id": manifest.checkpoint_id,
-            "covered_lsn": manifest.covered_lsn,
-            "replayed_records": replayed,
-            "skipped_records": skipped,
-            "last_lsn": last_lsn,
-        }
-        return self
+    def _replay_out_of_order_batch(self, record) -> bool | None:
+        # mirror apply_out_of_order_many's schedule (newest time first,
+        # stable) *and* its failure behaviour: the original loop stopped
+        # at the first raising correction, leaving the earlier ones
+        # applied.  The aged-out case in particular must not resurrect
+        # retired detail during replay.
+        order = np.argsort(record.points[:, 0], kind="stable")[::-1]
+        for i in order:
+            point = tuple(int(c) for c in record.points[i])
+            self.cube.apply_out_of_order(point, int(record.deltas[i]))
 
-    def _replay_record(self, record) -> bool:
-        """Apply one tail record; ``False`` = skipped (failed originally)."""
-        front = self.front
-        kernel = self.cube
-        if isinstance(record, UpdateRecord):
-            try:
-                front.update(record.point, record.delta)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, UpdateBatchRecord):
-            try:
-                front.update_many(record.points, record.deltas, mode=record.mode)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, OutOfOrderRecord):
-            try:
-                return kernel.replay_out_of_order(record.point, record.delta)
-            except ReproError:
-                return False
-        if isinstance(record, OutOfOrderBatchRecord):
-            # mirror apply_out_of_order_many's schedule (newest time
-            # first, stable) *and* its failure behaviour: the original
-            # loop stopped at the first raising correction, leaving the
-            # earlier ones applied.  The aged-out case in particular must
-            # not resurrect retired detail during replay.
-            order = np.argsort(record.points[:, 0], kind="stable")[::-1]
-            for i in order:
-                point = tuple(int(c) for c in record.points[i])
-                try:
-                    kernel.apply_out_of_order(point, int(record.deltas[i]))
-                except ReproError:
-                    return False
-            return True
-        if isinstance(record, RetireRecord):
-            try:
-                front.retire_before(record.time)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, DemoteRecord):
-            if self._config.get("tiers") is None:
-                return False
-            try:
-                front.demote_before(record.time)
-            except ReproError:
-                return False
-            return True
-        if isinstance(record, DrainRecord):
-            if not self.buffered:
-                return False
-            front.drain(record.limit)
-            return True
-        if isinstance(record, CheckpointMarkerRecord):
-            return True
-        raise RecoveryError(f"cannot replay {type(record).__name__}")
+    _replay_handlers = {
+        **DurableFront._replay_handlers,
+        UpdateRecord: lambda self, r: self.front.update(r.point, r.delta),
+        UpdateBatchRecord: lambda self, r: self.front.update_many(
+            r.points, r.deltas, mode=r.mode
+        ),
+        OutOfOrderRecord: lambda self, r: self.cube.replay_out_of_order(
+            r.point, r.delta
+        ),
+        OutOfOrderBatchRecord: _replay_out_of_order_batch,
+        DemoteRecord: _replay_demote,
+        DrainRecord: _replay_drain,
+    }

@@ -39,6 +39,64 @@ from repro.ecube.ecube import EvolvingDataCube
 from repro.metrics import CostCounter
 
 
+def build_kernel(
+    slice_shape: Sequence[int],
+    backend: str = "dense",
+    *,
+    num_times: int | None = None,
+    counter: CostCounter | None = None,
+    copy_budget: int | None = None,
+    min_density: float = 0.005,
+    page_size: int | None = None,
+    cell_size: int | None = None,
+    finalize_threshold: float = 0.05,
+    finalize_after: int = 3,
+    directory=None,
+):
+    """An empty kernel-backed cube on the named slice-storage backend.
+
+    ``"dense"``, ``"paged"`` (alias ``"disk"``) or ``"sparse"``; a
+    parameter the backend has no use for is ignored (only the dense cube
+    takes ``min_density`` and the finalize knobs, the paged cube takes
+    no ``copy_budget``).  ``directory`` binds the kernel to a shared
+    time axis (see :class:`~repro.ecube.families.FamilyDirectory`).
+    """
+    if backend == "dense":
+        return EvolvingDataCube(
+            slice_shape,
+            num_times=num_times,
+            counter=counter,
+            copy_budget=copy_budget,
+            min_density=min_density,
+            finalize_threshold=finalize_threshold,
+            finalize_after=finalize_after,
+            directory=directory,
+        )
+    if backend in ("paged", "disk"):
+        from repro.ecube.disk import DiskEvolvingDataCube
+        from repro.storage.layout import DEFAULT_CELL_SIZE, DEFAULT_PAGE_SIZE
+
+        return DiskEvolvingDataCube(
+            slice_shape,
+            num_times=num_times,
+            counter=counter,
+            page_size=page_size if page_size is not None else DEFAULT_PAGE_SIZE,
+            cell_size=cell_size if cell_size is not None else DEFAULT_CELL_SIZE,
+            directory=directory,
+        )
+    if backend == "sparse":
+        from repro.ecube.sparse import SparseEvolvingDataCube
+
+        return SparseEvolvingDataCube(
+            slice_shape,
+            num_times=num_times,
+            counter=counter,
+            copy_budget=copy_budget,
+            directory=directory,
+        )
+    raise DomainError(f"unknown storage backend {backend!r}")
+
+
 class BufferedEvolvingDataCube:
     """Append-only MOLAP cube that tolerates out-of-order updates.
 
@@ -78,41 +136,16 @@ class BufferedEvolvingDataCube:
         cell_size: int | None = None,
         cube=None,
     ) -> None:
-        if cube is not None:
-            self.cube = cube
-        elif backend == "dense":
-            self.cube = EvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=counter,
-                copy_budget=copy_budget,
-                min_density=min_density,
-            )
-        elif backend in ("paged", "disk"):
-            from repro.ecube.disk import DiskEvolvingDataCube
-            from repro.storage.layout import (
-                DEFAULT_CELL_SIZE,
-                DEFAULT_PAGE_SIZE,
-            )
-
-            self.cube = DiskEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=counter,
-                page_size=page_size if page_size is not None else DEFAULT_PAGE_SIZE,
-                cell_size=cell_size if cell_size is not None else DEFAULT_CELL_SIZE,
-            )
-        elif backend == "sparse":
-            from repro.ecube.sparse import SparseEvolvingDataCube
-
-            self.cube = SparseEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=counter,
-                copy_budget=copy_budget,
-            )
-        else:
-            raise DomainError(f"unknown storage backend {backend!r}")
+        self.cube = cube if cube is not None else build_kernel(
+            slice_shape,
+            backend,
+            num_times=num_times,
+            counter=counter,
+            copy_budget=copy_budget,
+            min_density=min_density,
+            page_size=page_size,
+            cell_size=cell_size,
+        )
         self.buffer = OutOfOrderBuffer(self.cube.ndim)
         if drain_threshold is not None and not 0 < drain_threshold <= 1:
             raise DomainError(
@@ -151,8 +184,11 @@ class BufferedEvolvingDataCube:
         bypass this wrapper when they retire -- for them, corrections
         below the demotion watermark are live tier-correction state.
         """
-        retired = self.cube.retire_before(time)
-        self.prune_retired()
+        # one epoch for the retire and its prune: a view pinned after it
+        # must not see the corrections the live cube just dropped
+        with self.cube.publish_barrier():
+            retired = self.cube.retire_before(time)
+            self.prune_retired()
         return retired
 
     def prune_retired(self) -> int:
@@ -167,7 +203,10 @@ class BufferedEvolvingDataCube:
         if retired == 0 or not len(self.buffer):
             return 0
         boundary_time = self.cube.occurring_times()[retired]
-        return self.buffer.prune_below(int(boundary_time) + 1)
+        removed = self.buffer.prune_below(int(boundary_time) + 1)
+        if removed:
+            self.cube.note_external_mutation()
+        return removed
 
     def resident_slice_bytes(self) -> int:
         """Resident payload bytes of the wrapped cube's live slices."""

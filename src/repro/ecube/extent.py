@@ -53,20 +53,25 @@ fold the pending set in analytically:
 Pure queries make the cube's durable state a function of its mutation
 log alone, which is what lets
 :class:`~repro.durability.extent.DurableExtentCube` recover to a
-bit-equivalent cube by replaying only mutation records.
+bit-equivalent cube by replaying only mutation records.  They also make
+the read arithmetic independent of where the state lives:
+:func:`read_intersecting` and :func:`read_containment` run over an
+:class:`ExtentReadState`, which the live cube and a pinned
+:class:`~repro.concurrent.extent.ExtentSnapshotView` both supply.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.errors import AgedOutError, AppendOrderError, DomainError
 from repro.core.types import Box, TimeInterval
-from repro.ecube.buffered import BufferedEvolvingDataCube
-from repro.ecube.ecube import EvolvingDataCube
+from repro.ecube.buffered import BufferedEvolvingDataCube, build_kernel
 from repro.ecube.families import FamilyDirectory, SharedTimeAxis
 from repro.metrics import CostCounter
 
@@ -78,6 +83,149 @@ def _as_interval(value) -> TimeInterval:
         return value
     start, end = value
     return TimeInterval(int(start), int(end))
+
+
+class ExtentReadState(NamedTuple):
+    """Everything an extent read consults, live or pinned.
+
+    The live :class:`ExtentCube` supplies its family fronts' batch
+    queries and its current columns; a pinned
+    :class:`~repro.concurrent.extent.ExtentSnapshotView` supplies its two
+    pinned family views and the columns frozen at pin time.
+    """
+
+    #: batch point-prefix query over family B (ended)
+    query_ended: Callable[[list[Box]], Sequence[int]]
+    #: batch point-prefix query over family C (containing)
+    query_containing: Callable[[list[Box]], Sequence[int]]
+    #: pending move-over events: ``(starts, effectives, cells, values)``
+    pending: tuple[np.ndarray, ...]
+    #: moved-over containment index: ``(starts, ends, cells, values)``
+    moved: tuple[np.ndarray, ...] | None
+    #: smallest event time ever inserted (``None`` = empty cube)
+    min_time: int | None
+    #: containment aged-out floor installed by ``prune_retired``
+    cont_retired_below: int | None
+    slice_shape: tuple[int, ...]
+
+
+def _in_box(cells: np.ndarray, box: Box) -> np.ndarray:
+    lower = np.asarray(box.lower, dtype=np.int64)
+    upper = np.asarray(box.upper, dtype=np.int64)
+    return np.logical_and(
+        (cells >= lower).all(axis=1), (cells <= upper).all(axis=1)
+    )
+
+
+def _query_boxes(
+    slice_shape: tuple[int, ...], queries: Sequence, cell_boxes
+) -> tuple[list[TimeInterval], list[Box]]:
+    """Normalize a batch: intervals plus one full-arity cell box each."""
+    queries = [_as_interval(q) for q in queries]
+    if cell_boxes is None:
+        cell_boxes = [None] * len(queries)
+    boxes = []
+    for box in cell_boxes:
+        if box is None:
+            box = Box((0,) * len(slice_shape), tuple(n - 1 for n in slice_shape))
+        elif box.ndim != len(slice_shape):
+            raise DomainError(
+                f"cell box arity {box.ndim} != {len(slice_shape)}"
+            )
+        boxes.append(box)
+    if len(boxes) != len(queries):
+        raise DomainError("need exactly one cell box per query")
+    return queries, boxes
+
+
+def read_intersecting(
+    state: ExtentReadState,
+    queries: Sequence,
+    cell_boxes: Sequence[Box | None] | None = None,
+) -> list[int]:
+    """Batch intersection aggregates: ``b(t_up) + c(t_up) - b(t_low)``.
+
+    The three point-prefix sub-queries of every batch entry are gathered
+    into one batch query per family (sharing compiled kernels and term
+    tables across the batch), then the pending-set correction is folded
+    in columnar.
+    """
+    queries, boxes = _query_boxes(state.slice_shape, queries, cell_boxes)
+    if not queries:
+        return []
+    if state.min_time is None:
+        return [0] * len(queries)
+    results = np.zeros(len(queries), dtype=np.int64)
+    low = state.min_time
+    b_boxes: list[Box] = []
+    b_slots: list[tuple[int, int]] = []  # (query index, sign)
+    c_boxes: list[Box] = []
+    c_slots: list[int] = []
+    for i, (query, box) in enumerate(zip(queries, boxes)):
+        if query.end >= low:
+            upper = Box((low,) + box.lower, (query.end,) + box.upper)
+            b_boxes.append(upper)
+            b_slots.append((i, 1))
+            c_boxes.append(upper)
+            c_slots.append(i)
+        if query.start >= low:
+            b_boxes.append(Box((low,) + box.lower, (query.start,) + box.upper))
+            b_slots.append((i, -1))
+    if b_boxes:
+        for (i, sign), value in zip(b_slots, state.query_ended(b_boxes)):
+            results[i] += sign * value
+    if c_boxes:
+        for i, value in zip(c_slots, state.query_containing(c_boxes)):
+            results[i] += value
+    p_starts, p_effs, p_cells, p_values = state.pending
+    if p_values.size:
+        for i, (query, box) in enumerate(zip(queries, boxes)):
+            mask = (p_starts <= query.end) & (p_effs <= query.start)
+            if bool(mask.any()):
+                mask &= _in_box(p_cells, box)
+                results[i] -= int(p_values[mask].sum())
+    return [int(v) for v in results]
+
+
+def read_containment(
+    state: ExtentReadState,
+    queries: Sequence,
+    cell_boxes: Sequence[Box | None] | None = None,
+) -> list[int]:
+    """Batch containment aggregates (dominance over ``(end, start)``).
+
+    Answered entirely from the columnar moved-over index plus the
+    pending set -- a pending interval is contained in ``[t_low, t_up]``
+    iff ``start >= t_low`` and ``effective <= t_up + 1``.  A query
+    starting below the pruned floor raises
+    :class:`~repro.core.errors.AgedOutError`.
+    """
+    queries, boxes = _query_boxes(state.slice_shape, queries, cell_boxes)
+    floor = state.cont_retired_below
+    if floor is not None:
+        for query in queries:
+            if query.start < floor:
+                raise AgedOutError(
+                    f"containment query starting at {query.start} reaches "
+                    f"into the pruned region below {floor}"
+                )
+    f_starts, f_ends, f_cells, f_values = state.moved
+    p_starts, p_effs, p_cells, p_values = state.pending
+    results = []
+    for query, box in zip(queries, boxes):
+        total = 0
+        if f_values.size:
+            mask = (f_starts >= query.start) & (f_ends <= query.end)
+            if bool(mask.any()):
+                mask &= _in_box(f_cells, box)
+                total += int(f_values[mask].sum())
+        if p_values.size:
+            mask = (p_starts >= query.start) & (p_effs <= query.end + 1)
+            if bool(mask.any()):
+                mask &= _in_box(p_cells, box)
+                total += int(p_values[mask].sum())
+        results.append(total)
+    return results
 
 
 class ExtentCube:
@@ -116,16 +264,18 @@ class ExtentCube:
         self.axis = SharedTimeAxis()
         fronts = []
         for _ in ("ended", "containing"):
-            kernel = self._build_kernel(
+            kernel = build_kernel(
                 slice_shape,
-                num_times,
                 backend,
-                copy_budget,
-                min_density,
-                page_size,
-                cell_size,
-                finalize_threshold,
-                finalize_after,
+                num_times=num_times,
+                counter=self.counter,
+                copy_budget=copy_budget,
+                min_density=min_density,
+                page_size=page_size,
+                cell_size=cell_size,
+                finalize_threshold=finalize_threshold,
+                finalize_after=finalize_after,
+                directory=FamilyDirectory(self.axis),
             )
             fronts.append(
                 BufferedEvolvingDataCube(
@@ -154,54 +304,6 @@ class ExtentCube:
         self._cont_retired_below: int | None = None
         self._seq = 0
         self.objects_inserted = 0
-
-    def _build_kernel(
-        self,
-        slice_shape,
-        num_times,
-        backend,
-        copy_budget,
-        min_density,
-        page_size,
-        cell_size,
-        finalize_threshold,
-        finalize_after,
-    ):
-        directory = FamilyDirectory(self.axis)
-        if backend == "dense":
-            return EvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=self.counter,
-                copy_budget=copy_budget,
-                min_density=min_density,
-                finalize_threshold=finalize_threshold,
-                finalize_after=finalize_after,
-                directory=directory,
-            )
-        if backend in ("paged", "disk"):
-            from repro.ecube.disk import DiskEvolvingDataCube
-            from repro.storage.layout import DEFAULT_CELL_SIZE, DEFAULT_PAGE_SIZE
-
-            return DiskEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=self.counter,
-                page_size=page_size if page_size is not None else DEFAULT_PAGE_SIZE,
-                cell_size=cell_size if cell_size is not None else DEFAULT_CELL_SIZE,
-                directory=directory,
-            )
-        if backend == "sparse":
-            from repro.ecube.sparse import SparseEvolvingDataCube
-
-            return SparseEvolvingDataCube(
-                slice_shape,
-                num_times=num_times,
-                counter=self.counter,
-                copy_budget=copy_budget,
-                directory=directory,
-            )
-        raise DomainError(f"unknown storage backend {backend!r}")
 
     # -- introspection ---------------------------------------------------------
 
@@ -499,29 +601,20 @@ class ExtentCube:
 
     # -- queries ---------------------------------------------------------------
 
-    def _cell_box(self, cell_box: Box | None) -> Box:
-        if cell_box is None:
-            return Box(
-                (0,) * len(self.slice_shape),
-                tuple(n - 1 for n in self.slice_shape),
-            )
-        if cell_box.ndim != len(self.slice_shape):
-            raise DomainError(
-                f"cell box arity {cell_box.ndim} != {len(self.slice_shape)}"
-            )
-        return cell_box
+    def _as_columns(self, pending) -> tuple[np.ndarray, ...]:
+        """Pending heap entries as ``(starts, effectives, cells, values)``."""
+        return (
+            np.asarray([e[4] for e in pending], dtype=np.int64),
+            np.asarray([e[0] for e in pending], dtype=np.int64),
+            np.asarray([e[2] for e in pending], dtype=np.int64).reshape(
+                len(pending), len(self.slice_shape)
+            ),
+            np.asarray([e[3] for e in pending], dtype=np.int64),
+        )
 
     def _pending_columns(self) -> tuple[np.ndarray, ...]:
         if self._pending_cache is None:
-            pending = self._pending
-            self._pending_cache = (
-                np.asarray([e[4] for e in pending], dtype=np.int64),
-                np.asarray([e[0] for e in pending], dtype=np.int64),
-                np.asarray([e[2] for e in pending], dtype=np.int64).reshape(
-                    len(pending), len(self.slice_shape)
-                ),
-                np.asarray([e[3] for e in pending], dtype=np.int64),
-            )
+            self._pending_cache = self._as_columns(self._pending)
         return self._pending_cache
 
     def _cont_columns(self) -> tuple[np.ndarray, ...]:
@@ -537,12 +630,20 @@ class ExtentCube:
             )
         return self._cont_cache
 
-    @staticmethod
-    def _in_box(cells: np.ndarray, box: Box) -> np.ndarray:
-        lower = np.asarray(box.lower, dtype=np.int64)
-        upper = np.asarray(box.upper, dtype=np.int64)
-        return np.logical_and(
-            (cells >= lower).all(axis=1), (cells <= upper).all(axis=1)
+    def _read_state(self, mode: str = "fast", moved: bool = True) -> ExtentReadState:
+        """The live cube as an :class:`ExtentReadState`.
+
+        ``moved=False`` skips materializing the containment index, which
+        intersection reads never consult.
+        """
+        return ExtentReadState(
+            partial(self.ended.query_many, mode=mode),
+            partial(self.containing.query_many, mode=mode),
+            self._pending_columns(),
+            self._cont_columns() if moved else None,
+            self._min_time,
+            self._cont_retired_below,
+            self.slice_shape,
         )
 
     def intersecting(
@@ -557,64 +658,10 @@ class ExtentCube:
         cell_boxes: Sequence[Box | None] | None = None,
         mode: str = "fast",
     ) -> list[int]:
-        """Batch intersection aggregates: ``b(t_up) + c(t_up) - b(t_low)``.
-
-        The three point-prefix sub-queries of every batch entry are
-        gathered into one ``query_many`` call per family (sharing
-        compiled kernels and term tables across the batch), then the
-        pending-set correction is folded in columnar.
-        """
-        queries = [_as_interval(q) for q in queries]
-        if cell_boxes is None:
-            cell_boxes = [None] * len(queries)
-        boxes = [self._cell_box(b) for b in cell_boxes]
-        if len(boxes) != len(queries):
-            raise DomainError("need exactly one cell box per query")
-        if not queries:
-            return []
-        results = np.zeros(len(queries), dtype=np.int64)
-        if self._min_time is None:
-            return [0] * len(queries)
-        low = self._min_time
-
-        def prefix_box(time: int, box: Box) -> Box | None:
-            if time < low:
-                return None
-            return Box((low,) + box.lower, (time,) + box.upper)
-
-        b_boxes: list[Box] = []
-        b_slots: list[tuple[int, int]] = []  # (query index, sign)
-        c_boxes: list[Box] = []
-        c_slots: list[int] = []
-        for i, (query, box) in enumerate(zip(queries, boxes)):
-            upper = prefix_box(query.end, box)
-            if upper is not None:
-                b_boxes.append(upper)
-                b_slots.append((i, 1))
-                c_boxes.append(upper)
-                c_slots.append(i)
-            lower = prefix_box(query.start, box)
-            if lower is not None:
-                b_boxes.append(lower)
-                b_slots.append((i, -1))
-        if b_boxes:
-            for (i, sign), value in zip(
-                b_slots, self.ended.query_many(b_boxes, mode=mode)
-            ):
-                results[i] += sign * value
-        if c_boxes:
-            for i, value in zip(
-                c_slots, self.containing.query_many(c_boxes, mode=mode)
-            ):
-                results[i] += value
-        p_starts, p_effs, p_cells, p_values = self._pending_columns()
-        if p_values.size:
-            for i, (query, box) in enumerate(zip(queries, boxes)):
-                mask = (p_starts <= query.end) & (p_effs <= query.start)
-                if bool(mask.any()):
-                    mask &= self._in_box(p_cells, box)
-                    results[i] -= int(p_values[mask].sum())
-        return [int(v) for v in results]
+        """Batch intersection aggregates (see :func:`read_intersecting`)."""
+        return read_intersecting(
+            self._read_state(mode, moved=False), queries, cell_boxes
+        )
 
     def alive_at(
         self, time: int, cell_box: Box | None = None, mode: str = "fast"
@@ -633,44 +680,8 @@ class ExtentCube:
         queries: Sequence,
         cell_boxes: Sequence[Box | None] | None = None,
     ) -> list[int]:
-        """Batch containment aggregates (dominance over ``(end, start)``).
-
-        Answered entirely from the columnar moved-over index plus the
-        pending set -- a pending interval is contained in
-        ``[t_low, t_up]`` iff ``start >= t_low`` and
-        ``effective <= t_up + 1``.
-        """
-        queries = [_as_interval(q) for q in queries]
-        if cell_boxes is None:
-            cell_boxes = [None] * len(queries)
-        boxes = [self._cell_box(b) for b in cell_boxes]
-        if len(boxes) != len(queries):
-            raise DomainError("need exactly one cell box per query")
-        if self._cont_retired_below is not None:
-            for query in queries:
-                if query.start < self._cont_retired_below:
-                    raise AgedOutError(
-                        f"containment query starting at {query.start} reaches "
-                        f"into the pruned region below "
-                        f"{self._cont_retired_below}"
-                    )
-        f_starts, f_ends, f_cells, f_values = self._cont_columns()
-        p_starts, p_effs, p_cells, p_values = self._pending_columns()
-        results = []
-        for query, box in zip(queries, boxes):
-            total = 0
-            if f_values.size:
-                mask = (f_starts >= query.start) & (f_ends <= query.end)
-                if bool(mask.any()):
-                    mask &= self._in_box(f_cells, box)
-                    total += int(f_values[mask].sum())
-            if p_values.size:
-                mask = (p_starts >= query.start) & (p_effs <= query.end + 1)
-                if bool(mask.any()):
-                    mask &= self._in_box(p_cells, box)
-                    total += int(p_values[mask].sum())
-            results.append(total)
-        return results
+        """Batch containment aggregates (see :func:`read_containment`)."""
+        return read_containment(self._read_state(), queries, cell_boxes)
 
     # -- durability hooks (checkpoint snapshots and log replay) ----------------
 
@@ -691,13 +702,8 @@ class ExtentCube:
         # is not durable state, so snapshots of equivalent cubes compare
         # bit-equal
         pending = sorted(self._pending)
-        p_starts = np.asarray([e[4] for e in pending], dtype=np.int64)
-        p_effs = np.asarray([e[0] for e in pending], dtype=np.int64)
+        p_starts, p_effs, p_cells, p_values = self._as_columns(pending)
         seqs = np.asarray([e[1] for e in pending], dtype=np.int64)
-        p_cells = np.asarray([e[2] for e in pending], dtype=np.int64).reshape(
-            len(pending), len(self.slice_shape)
-        )
-        p_values = np.asarray([e[3] for e in pending], dtype=np.int64)
         f_starts, f_ends, f_cells, f_values = self._cont_columns()
         arrays.update(
             {

@@ -95,28 +95,19 @@ def restore_kernel_from(archive, counter: CostCounter | None = None) -> "CubeKer
     slice_shape = tuple(int(n) for n in archive["slice_shape"])
     raw_num_times = int(archive["num_times"][0])
     num_times = None if raw_num_times < 0 else raw_num_times
-    if backend == "dense":
-        from repro.ecube.ecube import EvolvingDataCube
-
-        cube = EvolvingDataCube(slice_shape, num_times=num_times, counter=counter)
-    elif backend == "paged":
-        from repro.ecube.disk import DiskEvolvingDataCube
-
-        cube = DiskEvolvingDataCube(
-            slice_shape,
-            num_times=num_times,
-            counter=counter,
-            page_size=int(archive["page_size"][0]),
-            cell_size=int(archive["cell_size"][0]),
-        )
-    elif backend == "sparse":
-        from repro.ecube.sparse import SparseEvolvingDataCube
-
-        cube = SparseEvolvingDataCube(
-            slice_shape, num_times=num_times, counter=counter
-        )
-    else:
+    if backend not in ("dense", "paged", "sparse"):
         raise StorageError(f"archive names unknown backend {backend!r}")
+    from repro.ecube.buffered import build_kernel
+
+    paged = backend == "paged"
+    cube = build_kernel(
+        slice_shape,
+        backend,
+        num_times=num_times,
+        counter=counter,
+        page_size=int(archive["page_size"][0]) if paged else None,
+        cell_size=int(archive["cell_size"][0]) if paged else None,
+    )
     cube.copy_budget = int(archive["copy_budget"][0])
     cube.restore_state(archive)
     return cube

@@ -12,11 +12,17 @@ Three contracts are pinned here:
   golden costs and durable state byte-identical to the default path.
 * **Shared-axis alignment**: both families always expose the same
   occurring times, through appends, splices, restores and retirement.
+* **Live = pinned = recovered**: at any point of a random mutation
+  program, the live cube, a view pinned there and a durable replica
+  recovered there answer (or raise) identically.
 """
 
 from __future__ import annotations
 
 import io
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrent import SnapshotExtentCube
-from repro.core.errors import AppendOrderError, DomainError
+from repro.core.errors import AgedOutError, AppendOrderError, DomainError, ReproError
 from repro.core.extent import IntervalAggregator
 from repro.core.types import Box, TimeInterval
+from repro.durability import DurableExtentCube
 from repro.ecube import (
     EvolvingDataCube,
     ExtentCube,
@@ -278,6 +285,163 @@ class TestStateRoundTrip:
             occupied.restore_state(arrays)
 
 
+DIFF_SHAPE = (3, 2)
+
+
+@st.composite
+def extent_programs(draw):
+    """A random extent mutation program with interleaved read checks.
+
+    Starts may fall behind the clock (late segments) and even below the
+    retirement boundary, so some mutations fail; the program only has to
+    fail identically everywhere.
+    """
+    ops = []
+    clock = boundary = 0
+
+    def interval(low):
+        start = draw(st.integers(low, clock + 10))
+        return start, start + draw(st.integers(0, 12))
+
+    def cell():
+        return tuple(draw(st.integers(0, n - 1)) for n in DIFF_SHAPE)
+
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(
+            st.sampled_from(
+                ["insert", "insert", "insert_many", "advance", "drain",
+                 "retire", "prune", "check"]
+            )
+        )
+        if kind == "insert":
+            span = interval(boundary - 2)
+            ops.append(("insert", span, cell(), draw(st.integers(1, 5))))
+            clock = max(clock, span[0])
+        elif kind == "insert_many":
+            n = draw(st.integers(1, 4))
+            intervals = [interval(boundary - 2) for _ in range(n)]
+            ops.append(
+                (
+                    "insert_many",
+                    np.asarray(intervals, dtype=np.int64),
+                    np.asarray([cell() for _ in range(n)], dtype=np.int64),
+                    np.asarray(
+                        [draw(st.integers(1, 5)) for _ in range(n)], dtype=np.int64
+                    ),
+                    draw(st.sampled_from(["fast", "metered"])),
+                )
+            )
+            clock = max(clock, max(start for start, _ in intervals))
+        elif kind == "advance":
+            clock += draw(st.integers(0, 8))
+            ops.append(("advance", clock))
+        elif kind == "drain":
+            ops.append(("drain", draw(st.sampled_from([None, 1, 3]))))
+        elif kind == "retire":
+            boundary = draw(st.integers(boundary, clock + 1))
+            ops.append(("retire", boundary))
+        elif kind == "prune":
+            ops.append(("prune",))
+        else:
+            queries, boxes = [], []
+            for _ in range(draw(st.integers(1, 4))):
+                low = draw(st.integers(0, clock + 15))
+                queries.append(TimeInterval(low, low + draw(st.integers(0, 20))))
+                shape = draw(st.sampled_from(["all", "box", "box", "bad_arity"]))
+                if shape == "all":
+                    boxes.append(None)
+                elif shape == "bad_arity":
+                    boxes.append(Box((0,), (1,)))
+                else:
+                    lower = cell()
+                    upper = tuple(
+                        draw(st.integers(lo, n - 1)) for lo, n in zip(lower, DIFF_SHAPE)
+                    )
+                    boxes.append(Box(lower, upper))
+            ops.append(("check", queries, boxes, draw(st.integers(0, clock + 15))))
+    ops.append(("check", [TimeInterval(0, clock + 20)], [None], clock))
+    return ops
+
+
+def _outcome(read):
+    """A read's answer, or the type and message of the error it raised."""
+    try:
+        return ("ok", read())
+    except ReproError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reads(target, queries, boxes, time):
+    return [
+        _outcome(lambda: target.intersecting_many(queries, boxes)),
+        _outcome(lambda: target.containment_many(queries, boxes)),
+        _outcome(lambda: target.alive_at(time, boxes[0])),
+    ]
+
+
+def _mutate(target, op):
+    kind = op[0]
+    if kind == "insert":
+        return _outcome(lambda: target.insert(op[1], op[2], op[3]))
+    if kind == "insert_many":
+        return _outcome(lambda: target.insert_many(op[1], op[2], op[3], mode=op[4]))
+    if kind == "advance":
+        return _outcome(lambda: target.advance(op[1]))
+    if kind == "drain":
+        return _outcome(lambda: target.drain(op[1]))
+    return _outcome(lambda: target.retire_before(op[1]))
+
+
+def _run_three_way(program, backend, scratch):
+    """Drive a live cube and a durable twin through ``program``.
+
+    At each check the live cube, a freshly pinned view and a recovery of
+    a copy of the durable directory must read identically; every pinned
+    view must still read the same after the rest of the program ran.
+    ``prune_retired`` is not a logged mutation, so the durable twin
+    checkpoints right after pruning to make the pruned state durable.
+    """
+    live = ExtentCube(DIFF_SHAPE, backend=backend, **_backend_kwargs(backend))
+    serve = SnapshotExtentCube(live)
+    durable = DurableExtentCube(
+        DIFF_SHAPE,
+        scratch / "durable",
+        backend=backend,
+        fsync="off",
+        **_backend_kwargs(backend),
+    )
+    pinned = []
+    try:
+        for step, op in enumerate(program):
+            if op[0] == "prune":
+                live.prune_retired()
+                durable.front.prune_retired()
+                durable.checkpoint()
+            elif op[0] == "check":
+                _, queries, boxes, time = op
+                expected = _reads(live, queries, boxes, time)
+                view = serve.pin()
+                pinned.append((view, queries, boxes, time, expected))
+                assert _reads(view, queries, boxes, time) == expected
+                durable.flush()
+                copy = scratch / f"copy-{step}"
+                shutil.copytree(scratch / "durable", copy)
+                recovered = DurableExtentCube.recover(copy)
+                try:
+                    assert _reads(recovered, queries, boxes, time) == expected
+                finally:
+                    recovered.close()
+            else:
+                assert _mutate(durable, op) == _mutate(serve, op)
+        for view, queries, boxes, time, expected in pinned:
+            assert _reads(view, queries, boxes, time) == expected
+    finally:
+        for view, *_ in pinned:
+            view.release()
+        serve.close()
+        durable.close()
+
+
 class TestSnapshotServing:
     def test_pinned_view_is_frozen_and_exact(self):
         cube = ExtentCube((4, 4))
@@ -327,3 +491,33 @@ class TestSnapshotServing:
         with pytest.raises(DomainError):
             view.intersecting(TimeInterval(0, 1))
         serve.close()
+
+    def test_pinned_containment_ages_out_like_live(self):
+        # regression: the pinned view used to ignore the pruned
+        # containment floor and answer from the shrunken index
+        cube = ExtentCube((4,))
+        for i in range(20):
+            cube.insert((2 * i, 2 * i + i % 6), (i % 4,), 1)
+        cube.advance(40)
+        cube.retire_before(15)
+        cube.prune_retired()
+        query = TimeInterval(0, 30)
+        with pytest.raises(AgedOutError) as live:
+            cube.containment(query)
+        serve = SnapshotExtentCube(cube)
+        with serve.pin() as view:
+            with pytest.raises(AgedOutError) as pinned:
+                view.containment(query)
+            # above the floor both answer
+            floor = cube._cont_retired_below
+            above = TimeInterval(floor, 40)
+            assert view.containment(above) == cube.containment(above)
+        assert str(pinned.value) == str(live.value)
+        serve.close()
+
+    @given(program=extent_programs(), backend=st.sampled_from(BACKENDS))
+    @settings(max_examples=30, deadline=None)
+    def test_live_pinned_and_recovered_agree(self, program, backend):
+        with tempfile.TemporaryDirectory() as scratch:
+            _run_three_way(program, backend, Path(scratch))
+

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.core.errors import RecoveryError, StorageError
+from repro.core.errors import AppendOrderError, DomainError, RecoveryError, StorageError
 from repro.core.types import Box, TimeInterval
-from repro.durability import DurableCube, DurableExtentCube
+from repro.durability import DurableCube, DurableExtentCube, recover_durable
 from repro.durability.extent import build_extent_front
 from repro.durability.recovery import WAL_SUBDIR
 from repro.durability.wal import (
@@ -29,6 +29,7 @@ from repro.durability.wal import (
     AdvanceRecord,
     IntervalBatchRecord,
     IntervalInsertRecord,
+    UpdateRecord,
     WriteAheadLog,
     decode_payload,
     encode_record,
@@ -272,6 +273,49 @@ class TestDispatch:
         DurableExtentCube(SHAPE, tmp_path, fsync="off").close()
         with pytest.raises(StorageError):
             DurableExtentCube(SHAPE, tmp_path, fsync="off")
+
+    def test_recover_durable_picks_the_directory_kind(self, tmp_path):
+        DurableExtentCube(SHAPE, tmp_path / "extent", fsync="off").close()
+        DurableCube((4, 4), tmp_path / "point", fsync="off").close()
+        for name, cls in (("extent", DurableExtentCube), ("point", DurableCube)):
+            cube = recover_durable(tmp_path / name)
+            assert type(cube) is cls and cube.kind == name
+            cube.close()
+
+
+class TestReplay:
+    def test_logged_mutations_that_raised_are_skipped(self, tmp_path):
+        cube = DurableExtentCube(SHAPE, tmp_path, fsync="off")
+        cube.insert((0, 6), (1, 1), 2)
+        # both are logged before they raise
+        with pytest.raises(DomainError):
+            cube.insert((2, 4), (9, 9), 5)  # out-of-domain cell
+        cube.advance(10)
+        with pytest.raises(AppendOrderError):
+            cube.advance(3)  # behind the clock
+        cube.insert((11, 20), (0, 2), 1)
+        expected = cube.intersecting_many([TimeInterval(0, 30), (5, 12)])
+        cube.close()
+
+        recovered = DurableExtentCube.recover(tmp_path)
+        assert recovered.recovery_info["replayed_records"] == 5
+        assert recovered.recovery_info["skipped_records"] == 2
+        assert recovered.intersecting_many([TimeInterval(0, 30), (5, 12)]) == expected
+        recovered.close()
+
+    def test_foreign_record_is_refused_by_each_kind(self, tmp_path):
+        point = DurableCube((4, 4), tmp_path / "point", fsync="off")
+        point.update((0, 1, 1), 2)
+        point.wal.append(IntervalInsertRecord(0, 3, (1, 1), 1))
+        point.close()
+        extent = DurableExtentCube(SHAPE, tmp_path / "extent", fsync="off")
+        extent.insert((0, 3), (1, 1), 1)
+        extent.wal.append(UpdateRecord((0, 1, 1), 2))
+        extent.close()
+        with pytest.raises(RecoveryError, match="IntervalInsertRecord"):
+            DurableCube.recover(tmp_path / "point")
+        with pytest.raises(RecoveryError, match="UpdateRecord"):
+            DurableExtentCube.recover(tmp_path / "extent")
 
 
 class TestCli:

@@ -120,6 +120,23 @@ class TestBufferedCubePrune:
                 boxes, mode=mode
             )
 
+    def test_pinned_view_after_retire_matches_live(self):
+        # the retire and its prune publish as one epoch: a view pinned
+        # afterwards reads the pruned buffer, exactly like the live cube
+        # (the open prefix misses the dropped corrections on both; the
+        # ROADMAP tracks folding them into the boundary instead)
+        from repro.concurrent import SnapshotCube
+
+        cube = self._cube_with_dead_corrections()
+        serve = SnapshotCube(cube)
+        sequence = serve.current_sequence()
+        cube.retire_before(20)
+        assert serve.current_sequence() == sequence + 1
+        boxes = [Box((0, 0, 0), (39, 3, 3)), Box((20, 0, 0), (39, 3, 3))]
+        with serve.pin() as view:
+            assert view.query_many(boxes) == cube.query_many(boxes)
+        serve.close()
+
     def test_drain_no_longer_rebuffers_dead_entries(self):
         cube = self._cube_with_dead_corrections()
         cube.retire_before(20)
